@@ -26,9 +26,9 @@
 // `auditsim serve` puts the same session behind HTTP. With a drift
 // Tracker attached (AttachTracker), the session watches the observed
 // counts and re-solves itself when the live workload drifts away from
-// the model the policy assumes (see examples/online-refit). The free
-// functions (SolveISHM, SolveCGGS, ...) remain as deprecated wrappers
-// for batch experiments.
+// the model the policy assumes (see examples/online-refit). The
+// session is the one way to solve: bind a prebuilt Instance for batch
+// experiments and read the method's accounting from SolveDetailed.
 //
 // Everything — the simplex LP solver, column generation, the ISHM
 // threshold search, the TDMT rule engine, and the workload simulators —

@@ -45,8 +45,8 @@ const (
 //     deployments should bind (any registered scenario is deployable);
 //   - Game supplies an explicitly constructed *Game;
 //   - Instance binds a prebuilt evaluation instance, keeping its budget
-//     and realization source (this is the path the deprecated free
-//     functions use).
+//     and realization source (batch experiments that also evaluate
+//     baselines or losses on the instance bind this way).
 //
 // All three may be empty for a policy-only session that serves a
 // pre-solved artifact via ReloadPolicy/Select and never solves.

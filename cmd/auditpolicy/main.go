@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -96,15 +97,20 @@ func runSolve(args []string) error {
 	if err != nil {
 		return err
 	}
-	in, err := auditgame.NewInstance(g, *budget, auditgame.SourceOptions{Seed: *seed})
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Game:   g,
+		Budget: *budget,
+		Source: auditgame.SourceOptions{Seed: *seed},
+		ISHM:   auditgame.ISHMConfig{Epsilon: *epsilon, ExactInner: *exact},
+	})
 	if err != nil {
 		return err
 	}
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: *epsilon, ExactInner: *exact})
+	res, err := a.SolveDetailed(context.Background())
 	if err != nil {
 		return err
 	}
-	pol := auditgame.PolicyFrom(g, *budget, res.Policy)
+	pol := res.Policy
 
 	w := os.Stdout
 	if *out != "" {
@@ -119,7 +125,7 @@ func runSolve(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "expected loss %.4f, thresholds %v, %d orderings, %d threshold vectors explored\n",
-		res.Policy.Objective, res.Policy.Thresholds, len(pol.Orderings), res.Evaluations)
+		res.Mixed.Objective, res.Mixed.Thresholds, len(pol.Orderings), res.ISHM.Evaluations)
 	return nil
 }
 

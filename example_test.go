@@ -1,44 +1,59 @@
 package auditgame_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"auditgame"
 )
 
-// ExampleSolveISHM solves the paper's controlled dataset and prints the
-// policy's headline numbers.
-func ExampleSolveISHM() {
-	g := auditgame.SynA()
-	in, err := auditgame.NewInstance(g, 6, auditgame.SourceOptions{})
+// ExampleAuditor_SolveDetailed solves the paper's controlled dataset by
+// ISHM and prints the policy's headline numbers.
+func ExampleAuditor_SolveDetailed() {
+	in, err := auditgame.NewInstance(auditgame.SynA(), 6, auditgame.SourceOptions{})
 	if err != nil {
 		panic(err)
 	}
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.1, ExactInner: true})
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Instance: in,
+		ISHM:     auditgame.ISHMConfig{Epsilon: 0.1, ExactInner: true},
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("thresholds: %v\n", res.Policy.Thresholds)
-	fmt.Printf("has orderings: %v\n", len(res.Policy.Q) > 0)
+	res, err := a.SolveDetailed(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("thresholds: %v\n", res.ISHM.Policy.Thresholds)
+	fmt.Printf("has orderings: %v\n", len(res.ISHM.Policy.Q) > 0)
 	// Output:
 	// thresholds: [2,2,2,2]
 	// has orderings: true
 }
 
-// ExampleSolveExact computes the optimal ordering mixture for fixed
-// thresholds.
-func ExampleSolveExact() {
+// ExampleAuditor_SolveDetailed_exact computes the optimal ordering
+// mixture for fixed thresholds.
+func ExampleAuditor_SolveDetailed_exact() {
 	in, err := auditgame.NewInstance(auditgame.SynA(), 4, auditgame.SourceOptions{})
 	if err != nil {
 		panic(err)
 	}
-	pol, err := auditgame.SolveExact(in, auditgame.Thresholds{2, 1, 1, 2})
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Instance:   in,
+		Method:     auditgame.MethodExact,
+		Thresholds: auditgame.Thresholds{2, 1, 1, 2},
+	})
+	if err != nil {
+		panic(err)
+	}
+	res, err := a.SolveDetailed(context.Background())
 	if err != nil {
 		panic(err)
 	}
 	var sum float64
-	for _, p := range pol.Po {
+	for _, p := range res.Mixed.Po {
 		sum += p
 	}
 	fmt.Printf("probabilities sum to %.0f\n", sum)
@@ -54,11 +69,19 @@ func ExamplePolicyFrom() {
 	if err != nil {
 		panic(err)
 	}
-	mixed, err := auditgame.SolveExact(in, auditgame.Thresholds{3, 3, 3, 3})
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Instance:   in,
+		Method:     auditgame.MethodExact,
+		Thresholds: auditgame.Thresholds{3, 3, 3, 3},
+	})
 	if err != nil {
 		panic(err)
 	}
-	pol := auditgame.PolicyFrom(g, 10, mixed)
+	res, err := a.SolveDetailed(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	pol := auditgame.PolicyFrom(g, 10, res.Mixed)
 
 	// Today's realized alert bins: 5 of type 1, 4 of type 2, …
 	sel, err := pol.Select([]int{5, 4, 6, 3}, rand.New(rand.NewSource(1)))

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,16 +32,21 @@ func main() {
 	fmt.Println("  budget   loss     thresholds")
 	deterredAt := -1.0
 	for _, budget := range []float64{10, 50, 90, 130, 170, 210, 250} {
-		in, err := auditgame.NewInstance(g, budget, auditgame.SourceOptions{BankSize: 400, Seed: 9})
+		a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+			Game:   g,
+			Budget: budget,
+			Source: auditgame.SourceOptions{BankSize: 400, Seed: 9},
+			ISHM:   auditgame.ISHMConfig{Epsilon: 0.2},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.2})
+		res, err := a.SolveDetailed(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %6.0f %8.2f     %v\n", budget, res.Policy.Objective, res.Policy.Thresholds)
-		if deterredAt < 0 && res.Policy.Objective < 1e-6 {
+		fmt.Printf("  %6.0f %8.2f     %v\n", budget, res.Mixed.Objective, res.Mixed.Thresholds)
+		if deterredAt < 0 && res.Mixed.Objective < 1e-6 {
 			deterredAt = budget
 		}
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,14 +36,21 @@ func main() {
 	}
 
 	fmt.Printf("\nsolving the audit game at budget %.0f...\n", budget)
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.2, MaxSubset: 3})
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Instance: in,
+		ISHM:     auditgame.ISHMConfig{Epsilon: 0.2, MaxSubset: 3},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := a.SolveDetailed(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  proposed policy loss:        %8.2f  (thresholds %v)\n",
-		res.Policy.Objective, res.Policy.Thresholds)
+		res.Mixed.Objective, res.Mixed.Thresholds)
 
-	ro := auditgame.BaselineRandomOrders(in, res.Policy.Thresholds, 2000, 45)
+	ro := auditgame.BaselineRandomOrders(in, res.Mixed.Thresholds, 2000, 45)
 	fmt.Printf("  random audit orders:         %8.2f\n", ro)
 	rt, err := auditgame.BaselineRandomThresholds(in, 20, 46)
 	if err != nil {
@@ -52,13 +60,12 @@ func main() {
 	gb := auditgame.BaselineGreedyBenefit(in)
 	fmt.Printf("  greedy by benefit:           %8.2f\n", gb)
 
-	pol := auditgame.PolicyFrom(g, budget, res.Policy)
 	f, err := os.CreateTemp("", "emr-policy-*.json")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := pol.Save(f); err != nil {
+	if err := res.Policy.Save(f); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npolicy saved to %s\n", f.Name())

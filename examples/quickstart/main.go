@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,25 +43,29 @@ func main() {
 		},
 	}
 
-	const budget = 6.0
-	in, err := auditgame.NewInstance(g, budget, auditgame.SourceOptions{Seed: 1})
+	// An Auditor session binds the game, the budget and the solver.
+	// ISHM (the default method) searches the per-type thresholds; the
+	// inner LP finds the optimal randomization over audit orderings at
+	// each candidate.
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Game:   g,
+		Budget: 6,
+		Source: auditgame.SourceOptions{Seed: 1},
+		ISHM:   auditgame.ISHMConfig{Epsilon: 0.1, ExactInner: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// ISHM searches the per-type thresholds; the inner LP finds the
-	// optimal randomization over audit orderings at each candidate.
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.1, ExactInner: true})
+	res, err := a.SolveDetailed(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("expected auditor loss: %.3f\n", res.Policy.Objective)
-	fmt.Printf("thresholds:            %v\n", res.Policy.Thresholds)
-	fmt.Printf("threshold vectors explored: %d\n\n", res.Evaluations)
+	fmt.Printf("expected auditor loss: %.3f\n", res.Mixed.Objective)
+	fmt.Printf("thresholds:            %v\n", res.Mixed.Thresholds)
+	fmt.Printf("threshold vectors explored: %d\n\n", res.ISHM.Evaluations)
 
-	pol := auditgame.PolicyFrom(g, budget, res.Policy)
 	fmt.Println("deployable policy:")
-	if err := pol.Save(os.Stdout); err != nil {
+	if err := res.Policy.Save(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

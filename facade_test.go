@@ -2,10 +2,25 @@ package auditgame
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// solveOnce binds cfg to a throwaway Auditor session and solves it once.
+func solveOnce(t *testing.T, cfg AuditorConfig) *SolveResult {
+	t.Helper()
+	a, err := NewAuditor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.SolveDetailed(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestSynAEndToEnd(t *testing.T) {
 	g := SynA()
@@ -13,10 +28,7 @@ func TestSynAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveISHM(in, ISHMConfig{Epsilon: 0.25, ExactInner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, AuditorConfig{Instance: in, ISHM: ISHMConfig{Epsilon: 0.25, ExactInner: true}}).ISHM
 	// Paper Table IV, B=6: ≈3.27. Our discretization lands nearby.
 	if res.Policy.Objective < 2 || res.Policy.Objective > 4.5 {
 		t.Fatalf("B=6 ISHM objective = %v, expected ≈3.3", res.Policy.Objective)
@@ -32,14 +44,8 @@ func TestSolveCGGSNeverBeatsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := Thresholds{3, 3, 2, 2}
-	exact, err := SolveExact(in, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := SolveCGGS(in, b, CGGSConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := solveOnce(t, AuditorConfig{Instance: in, Method: MethodExact, Thresholds: b}).Mixed
+	cg := solveOnce(t, AuditorConfig{Instance: in, Method: MethodCGGS, Thresholds: b}).Mixed
 	if cg.Objective < exact.Objective-1e-7 {
 		t.Fatalf("CGGS %v beat exact %v", cg.Objective, exact.Objective)
 	}
@@ -50,10 +56,7 @@ func TestBaselinesOnSynA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveISHM(in, ISHMConfig{Epsilon: 0.25, ExactInner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, AuditorConfig{Instance: in, ISHM: ISHMConfig{Epsilon: 0.25, ExactInner: true}}).ISHM
 	opt := res.Policy.Objective
 	if ro := BaselineRandomOrders(in, res.Policy.Thresholds, 100, 1); ro < opt-1e-7 {
 		t.Fatalf("random orders %v beat ISHM %v", ro, opt)
@@ -87,10 +90,7 @@ func TestCustomGameViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveISHM(in, ISHMConfig{Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, AuditorConfig{Instance: in, ISHM: ISHMConfig{Epsilon: 0.2}}).ISHM
 	if math.IsNaN(res.Policy.Objective) {
 		t.Fatal("NaN objective")
 	}
@@ -102,10 +102,7 @@ func TestPolicyFromAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := SolveExact(in, Thresholds{2, 2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol := solveOnce(t, AuditorConfig{Instance: in, Method: MethodExact, Thresholds: Thresholds{2, 2, 2, 2}}).Mixed
 	dp := PolicyFrom(g, 6, pol)
 	if err := dp.Validate(); err != nil {
 		t.Fatal(err)
@@ -214,10 +211,7 @@ func TestWorkloadRegistryViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := SolveCGGS(in, seedThresholds(sg), CGGSConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol := solveOnce(t, AuditorConfig{Instance: in, Method: MethodCGGS, Thresholds: seedThresholds(sg)}).Mixed
 	if len(pol.Po) != len(pol.Q) {
 		t.Fatal("malformed policy")
 	}
@@ -247,14 +241,8 @@ func TestBruteForceFacadeTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := SolveBruteForce(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveISHM(in, ISHMConfig{Epsilon: 0.1, ExactInner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bf := solveOnce(t, AuditorConfig{Instance: in, Method: MethodBruteForce}).BruteForce
+	res := solveOnce(t, AuditorConfig{Instance: in, ISHM: ISHMConfig{Epsilon: 0.1, ExactInner: true}}).ISHM
 	if res.Policy.Objective < bf.Policy.Objective-0.5 {
 		t.Fatalf("ISHM %v implausibly better than brute force %v", res.Policy.Objective, bf.Policy.Objective)
 	}

@@ -2,12 +2,27 @@ package auditgame_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"auditgame"
 )
+
+// solveISHMOnce solves in by ISHM on a throwaway Auditor session.
+func solveISHMOnce(t *testing.T, in *auditgame.Instance, cfg auditgame.ISHMConfig) *auditgame.ISHMResult {
+	t.Helper()
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{Instance: in, ISHM: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.SolveDetailed(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.ISHM
+}
 
 // TestFullPipelineEMR drives the complete system through the public API:
 // simulate hospital traffic, fit the workload, build and solve the game,
@@ -41,10 +56,7 @@ func TestFullPipelineEMR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.25, MaxSubset: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveISHMOnce(t, in, auditgame.ISHMConfig{Epsilon: 0.25, MaxSubset: 2})
 		losses = append(losses, res.Policy.Objective)
 		solved = res.Policy
 
@@ -102,10 +114,7 @@ func TestFullPipelineJSONConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.2, ExactInner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveISHMOnce(t, in, auditgame.ISHMConfig{Epsilon: 0.2, ExactInner: true})
 
 	// Zero-sum loss and the nil-lossFn non-zero-sum evaluation agree.
 	nz, err := auditgame.AuditorLossNonZeroSum(in, res.Policy, nil)

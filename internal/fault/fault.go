@@ -46,8 +46,8 @@ const (
 	// SolverPricingRound fires once per column-generation pricing round
 	// (restricted-master solve + oracle pass) inside SolveState.run.
 	SolverPricingRound Point = "solver.pricing_round"
-	// PalWorker fires once per (chunk, ordering) work unit inside the
-	// detection-probability kernel's worker loop. Panic-only.
+	// PalWorker fires once per work unit of the detection-probability
+	// kernels' worker pool. Panic-only.
 	PalWorker Point = "game.pal_worker"
 	// LPPivot fires once per simplex pivot. Panic-only.
 	LPPivot Point = "lp.pivot"

@@ -91,19 +91,16 @@ type Instance struct {
 	// game's 100 applicants collapse to a handful of classes.
 	classes     []entityClass
 	entityClass []int // entity index → class index
-	// zs/ws are the materialized realizations and weights of Src after
-	// duplicate rows merge their weights (sample.Dedup); Pal iterates
-	// these flat slices directly because it is the hottest loop in every
-	// solver. zrecip caches 1/max(z,1) per element so the kernel's
-	// audited-fraction term multiplies instead of divides.
-	zs     []float64 // flattened realizations, row-major [len(ws)][numTypes]
-	ws     []float64
-	zrecip []float64
-	nT     int
-	// zeffT/zrecipT are column-major companions of zs/zrecip —
-	// max(z, 1) and 1/max(z, 1) laid out [t][row] — so the trie walk
-	// (trie.go), which iterates rows with the type fixed, streams
-	// contiguous memory.
+	// ws are the weights of Src's realizations after duplicate rows
+	// merge their weights (sample.Dedup). The realizations themselves
+	// are stored column-major, [t][row] with row zi of type t at
+	// t·len(ws)+zi, because every kernel iterates rows with the type
+	// fixed and so streams contiguous memory: zT holds Z, zeffT the
+	// Z′ = max(Z, 1) of Eq. 1, and zrecipT 1/Z′, so the audited-fraction
+	// term multiplies instead of divides.
+	ws      []float64
+	nT      int
+	zT      []float64
 	zeffT   []float64
 	zrecipT []float64
 	// spCols caches per-(type, threshold) budget-consumption columns
@@ -145,29 +142,22 @@ func NewInstance(g *Game, budget float64, src sample.Source) (*Instance, error) 
 		return nil, fmt.Errorf("game: realization source is empty")
 	}
 	in.ws = weights
-	in.zs = make([]float64, 0, len(rows)*in.nT)
-	in.zrecip = make([]float64, 0, len(rows)*in.nT)
-	for _, z := range rows {
-		for _, zt := range z {
+	nRows := len(rows)
+	in.zT = make([]float64, in.nT*nRows)
+	in.zeffT = make([]float64, in.nT*nRows)
+	in.zrecipT = make([]float64, in.nT*nRows)
+	for zi, z := range rows {
+		if len(z) != in.nT {
+			return nil, fmt.Errorf("game: realization %d has %d counts, want |T| = %d", zi, len(z), in.nT)
+		}
+		for t, zt := range z {
 			v := float64(zt)
-			in.zs = append(in.zs, v)
+			in.zT[t*nRows+zi] = v
 			if v < 1 {
 				v = 1 // the Z′ = max(Z, 1) convention of Eq. 1
 			}
-			in.zrecip = append(in.zrecip, 1/v)
-		}
-	}
-	nRows := len(rows)
-	in.zeffT = make([]float64, in.nT*nRows)
-	in.zrecipT = make([]float64, in.nT*nRows)
-	for zi := 0; zi < nRows; zi++ {
-		for t := 0; t < in.nT; t++ {
-			v := in.zs[zi*in.nT+t]
-			if v < 1 {
-				v = 1
-			}
 			in.zeffT[t*nRows+zi] = v
-			in.zrecipT[t*nRows+zi] = in.zrecip[zi*in.nT+t]
+			in.zrecipT[t*nRows+zi] = 1 / v
 		}
 	}
 	in.entityClass = make([]int, len(g.Entities))
@@ -244,13 +234,12 @@ func (in *Instance) PalInjected(o Ordering, b Thresholds, attackType int) float6
 		caps[i] = math.Floor(b[t] / costs[i])
 	}
 	var out float64
-	nT := in.nT
+	nRows := len(in.ws)
 	for zi, w := range in.ws {
-		row := in.zs[zi*nT : (zi+1)*nT]
 		spent := 0.0
 		for i, t := range o {
 			ct := costs[i]
-			zt := row[t]
+			zt := in.zT[t*nRows+zi]
 			if t == attackType {
 				zt++ // the attack alert joins its bin
 				avail := math.Floor((in.Budget - spent) / ct)

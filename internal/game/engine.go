@@ -9,14 +9,11 @@ import (
 	"auditgame/internal/fault"
 )
 
-// palPanic carries the first panic recovered in a pal worker goroutine
-// back to the dispatching goroutine for re-raising.
-type palPanic struct{ val any }
-
 // This file is the detection-probability evaluation engine: interned
-// (ordering, threshold) IDs, a sharded result cache, and a chunked kernel
-// that evaluates batches of orderings in one pass over the realization
-// matrix, optionally sharding realizations across workers.
+// (ordering, threshold) IDs, a sharded result cache, the cached and
+// uncached batch entry points, and the worker pool every kernel (the
+// trie walk of trie.go, the grid sweep of grid.go, the prefix pricer of
+// prefix.go) shards its work units across.
 //
 // Determinism contract: results are bitwise-identical at every worker
 // count. The realization matrix is cut into fixed-size chunks whose
@@ -356,182 +353,77 @@ const palChunkRows = 1024
 // dispatch loop stays serial; tiny evaluations aren't worth goroutines.
 const palParallelMinWork = 8192
 
-// palComputeReference evaluates each ordering independently against the
-// realization matrix — the pre-trie kernel, kept as the reference
-// implementation the equivalence goldens pin palCompute (trie.go)
-// against, bit for bit.
-func (in *Instance) palComputeReference(os []Ordering, b Thresholds) [][]float64 {
-	nT := len(in.G.Types)
-	nRows := len(in.ws)
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
-
-	// Per-ordering constants hoisted out of the realization loop:
-	// position costs, audit caps ⌊b_t/C_t⌋, position thresholds, and the
-	// suffix-minimum cost that lets the kernel stop a row early once the
-	// remaining budget can't buy any further audit.
-	costs := make([][]float64, len(os))
-	caps := make([][]float64, len(os))
-	bpos := make([][]float64, len(os))
-	sufMin := make([][]float64, len(os))
-	for k, o := range os {
-		costs[k] = make([]float64, len(o))
-		caps[k] = make([]float64, len(o))
-		bpos[k] = make([]float64, len(o))
-		sufMin[k] = make([]float64, len(o))
-		for i, t := range o {
-			costs[k][i] = in.G.Types[t].Cost
-			caps[k][i] = math.Floor(b[t] / costs[k][i])
-			bpos[k][i] = b[t]
+// runUnits calls unit(u, sc) once for every work unit u in [0, nUnits)
+// — the one worker pool behind every pal kernel (palCompute,
+// PalGridSweep, PrefixPricer.ExtendDeltas). Units must write disjoint
+// scratch, so which worker runs a unit never changes a result. sc is the
+// running worker's trie scratch, sized for walks of the given depth (nil
+// when depth is 0). work sizes the pool (see workerCount); the serial
+// path allocates nothing.
+//
+// Panic containment: a panicking worker must not kill the process
+// (callers above the solver entry points expect a typed error) and must
+// not strand its siblings. The first panic value is captured, the
+// panicking worker exits, the remaining workers drain the remaining
+// units, and once all have returned the panic is re-raised on the
+// calling goroutine, where the solver entry guard converts it to a
+// *SolveError.
+func (in *Instance) runUnits(nUnits, work, depth int, unit func(u int, sc *trieScratch)) {
+	workers := in.workerCount(nUnits, work)
+	if workers <= 1 {
+		sc := in.getTrieScratch(depth)
+		for u := 0; u < nUnits; u++ {
+			palWorkerFault()
+			unit(u, sc)
 		}
-		m := math.Inf(1)
-		for i := len(o) - 1; i >= 0; i-- {
-			if costs[k][i] < m {
-				m = costs[k][i]
-			}
-			sufMin[k][i] = m
-		}
+		in.putTrieScratch(sc)
+		return
 	}
-
-	// Work units are (chunk, ordering) cells: each writes a disjoint
-	// nT-wide span of its chunk's scratch, so cells parallelize freely in
-	// both dimensions — many orderings over a small matrix fan out just
-	// as well as one ordering over a large one — without touching the
-	// fixed chunk boundaries the determinism contract depends on.
-	partials := make([][]float64, nChunks)
-	for c := range partials {
-		partials[c] = make([]float64, len(os)*nT)
-	}
-	cell := func(unit int) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// The kernel has no error return; panic-only point. The
-			// worker containment below (or, on the serial path, the
-			// solver entry guard) turns it back into a typed error.
-			panic(err)
-		}
-		c, k := unit/len(os), unit%len(os)
-		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		in.palChunk(lo, hi, os[k], costs[k], caps[k], bpos[k], sufMin[k], partials[c][k*nT:(k+1)*nT])
-	}
-
-	nUnits := nChunks * len(os)
-	if workers := in.workerCount(nUnits, nRows*len(os)); workers > 1 {
-		// Panic containment: a panicking worker must not kill the
-		// process (callers above the solver entry points expect a typed
-		// error) and must not strand its siblings. The first panic value
-		// is captured here; the panicking worker exits, the remaining
-		// workers drain the remaining units, wg.Wait returns, and the
-		// panic is re-raised on the calling goroutine, where the solver
-		// entry guard converts it to a *SolveError.
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						return
-					}
-					cell(u)
+	var panicked atomic.Pointer[palPanic]
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &palPanic{val: r})
 				}
 			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		for u := 0; u < nUnits; u++ {
-			cell(u)
-		}
+			sc := in.getTrieScratch(depth)
+			for {
+				u := int(next.Add(1)) - 1
+				if u >= nUnits {
+					in.putTrieScratch(sc)
+					return
+				}
+				palWorkerFault()
+				unit(u, sc)
+			}
+		}()
 	}
-
-	// Deterministic merge: chunk-index order, every worker count.
-	backing := make([]float64, len(os)*nT)
-	out := make([][]float64, len(os))
-	for k := range os {
-		out[k] = backing[k*nT : (k+1)*nT : (k+1)*nT]
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p.val)
 	}
-	for c := 0; c < nChunks; c++ {
-		for i, v := range partials[c] {
-			backing[i] += v
-		}
-	}
-	return out
 }
 
-// palChunk accumulates the contribution of realization rows [lo, hi) for
-// one ordering into accRow (nT wide). This is the innermost loop of every
-// solver; it avoids math.Min's NaN bookkeeping, trades the per-element
-// count division for the precomputed reciprocal matrix, and bails out of
-// a row once the remaining budget is below the cheapest remaining audit
-// cost. The chunk's rows stay cache-hot across the orderings that walk
-// it, per-ordering constants hoist out of the row loop, and consecutive
-// rows carry no data dependency, so their budget-recursion chains overlap
-// in flight.
-func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow []float64) {
-	nT := in.nT
-	budget := in.Budget
-	zs := in.zs
-	zrecip := in.zrecip
-	ws := in.ws
-	for zi := lo; zi < hi; zi++ {
-		base := zi * nT
-		row := zs[base : base+nT]
-		recip := zrecip[base : base+nT]
-		w := ws[zi]
-		spent := 0.0
-		for i, t := range o {
-			rem := budget - spent
-			if rem < mink[i] {
-				break // no remaining type can afford one audit
-			}
-			ct := ck[i]
-			var avail float64
-			if ct == 1 {
-				avail = math.Floor(rem)
-			} else {
-				avail = math.Floor(rem / ct)
-			}
-			zt := row[t]
-			ztEff := zt
-			if ztEff < 1 {
-				ztEff = 1
-			}
-			nt := avail
-			if c := capk[i]; c < nt {
-				nt = c
-			}
-			if ztEff < nt {
-				nt = ztEff
-			}
-			if nt > 0 {
-				accRow[t] += w * nt * recip[t]
-			}
-			s := zt * ct
-			if bt := bk[i]; bt < s {
-				s = bt
-			}
-			spent += s
-		}
+// palPanic carries the first panic recovered in a pool worker back to
+// the dispatching goroutine for re-raising.
+type palPanic struct{ val any }
+
+// palWorkerFault is the fault.PalWorker injection point, hit once per
+// work unit. It is panic-only because the kernels have no error return.
+func palWorkerFault() {
+	if err := fault.Inject(fault.PalWorker); err != nil {
+		panic(err)
 	}
 }
 
 // workerCount resolves the sharding width for one evaluation: Workers
-// when set, else GOMAXPROCS, clamped to the (chunk × ordering) work-unit
-// count and to 1 when the total work is too small to amortize goroutine
-// handoff.
+// when set, else GOMAXPROCS, clamped to the work-unit count and to 1
+// when the total work is too small to amortize goroutine handoff.
 func (in *Instance) workerCount(nUnits, work int) int {
 	w := in.Workers
 	if w <= 0 {

@@ -1,9 +1,13 @@
 package game
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"auditgame/internal/sample"
 )
@@ -239,5 +243,47 @@ func TestPalEvalCounting(t *testing.T) {
 	in.Pal(os[0], b)
 	if got := in.PalEvals(); got != len(os) {
 		t.Fatalf("PalEvals = %d after cached re-evaluations, want %d", got, len(os))
+	}
+}
+
+// TestRunUnitsPanicContained drives the worker pool's parallel path with
+// one panicking unit: the panic must be re-raised on the calling
+// goroutine, every other unit must still run, and no worker may outlive
+// the call.
+func TestRunUnitsPanicContained(t *testing.T) {
+	in := synAEngineInstance(t, 10, 4)
+	const nUnits, bad = 64, 5
+	if w := in.workerCount(nUnits, palParallelMinWork); w != 4 {
+		t.Fatalf("pool sized to %d workers, want the parallel path at 4", w)
+	}
+	baseline := runtime.NumGoroutine()
+	boom := errors.New("boom")
+	var ran [nUnits]atomic.Bool
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		in.runUnits(nUnits, palParallelMinWork, 0, func(u int, _ *trieScratch) {
+			if u == bad {
+				panic(boom)
+			}
+			ran[u].Store(true)
+		})
+	}()
+	if got != boom {
+		t.Fatalf("recovered %v on the caller, want the unit's panic value", got)
+	}
+	for u := range ran {
+		if u != bad && !ran[u].Load() {
+			t.Fatalf("unit %d never ran after unit %d panicked", u, bad)
+		}
+	}
+	// Workers have called wg.Done before runUnits re-raises; give them
+	// a moment to finish exiting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

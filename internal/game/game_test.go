@@ -287,9 +287,9 @@ func TestReducedCostNonNegativeAtOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range all {
-		if rc := in.ReducedCost(res, o, b); rc < -1e-7 {
-			t.Fatalf("ordering %v has negative reduced cost %v at optimum", o, rc)
+	for i, rc := range in.ReducedCosts(res, in.PalBatch(all, b)) {
+		if rc < -1e-7 {
+			t.Fatalf("ordering %v has negative reduced cost %v at optimum", all[i], rc)
 		}
 	}
 }
@@ -331,6 +331,11 @@ func TestInstanceConstructorErrors(t *testing.T) {
 	bad.Types = nil
 	if _, err := NewInstance(bad, 1, src); err == nil {
 		t.Fatal("expected validation error")
+	}
+	// tinyGame has two alert types; a one-count realization is malformed.
+	narrow := &weightedSource{rows: []sample.Realization{{2, 2}, {1}}, ws: []float64{0.5, 0.5}}
+	if _, err := NewInstance(g, 1, narrow); err == nil {
+		t.Fatal("expected error for a realization narrower than |T|")
 	}
 }
 

@@ -1,12 +1,6 @@
 package game
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
-)
+import "math"
 
 // A brute-force sweep evaluates the same ordering batch at every integer
 // threshold vector of a grid — and re-walks the whole trie per grid
@@ -60,15 +54,16 @@ const maxPalGridCells = 8 << 20
 
 // PalGridSweep evaluates every ordering of os at every threshold vector
 // b_t = k_t·C_t, k_t ∈ {0, …, steps[t]}, and returns the table. It
-// returns nil — callers fall back to per-point evaluation — when the
-// table would exceed maxPalGridCells or the batch is not made of
-// distinct full permutations (the leaf-emission scheme needs a unique
-// leaf per ordering).
+// returns nil — callers fall back to per-point evaluation — when steps
+// does not give one range per type, the table would exceed
+// maxPalGridCells, or the batch is not made of distinct full
+// permutations (the leaf-emission scheme needs a unique leaf per
+// ordering).
 func (in *Instance) PalGridSweep(os []Ordering, steps []int) *PalGrid {
 	nT := in.nT
 	nRows := len(in.ws)
 	cells := len(os) * nT
-	if cells == 0 || nRows == 0 {
+	if cells == 0 || nRows == 0 || len(steps) != nT {
 		return nil
 	}
 	stride := make([]int, nT)
@@ -118,79 +113,29 @@ func (in *Instance) PalGridSweep(os []Ordering, steps []int) *PalGrid {
 	}
 
 	pg := &PalGrid{nT: nT, nOs: len(os), stride: stride, data: make([]float64, nGrid*len(os)*nT)}
-	nRoots := len(tr.rootAt) - 1
 	nChunks := (nRows + palChunkRows - 1) / palChunkRows
 
 	// Work units are root subtrees: two roots emit into disjoint table
 	// regions (their leaf orderings differ in the first type), while one
 	// root's chunks must accumulate in chunk-index order, so each unit
-	// walks its chunks serially. Panic containment as in palCompute.
-	unit := func(r int, sc *trieScratch, typStack []int32, contrib []float64) {
+	// walks its chunks serially.
+	in.runUnits(len(tr.rootAt)-1, nRows*len(os), tr.maxDepth, func(r int, sc *trieScratch) {
 		for c := 0; c < nChunks; c++ {
-			if err := fault.Inject(fault.PalWorker); err != nil {
-				panic(err)
-			}
 			lo := c * palChunkRows
-			hi := lo + palChunkRows
-			if hi > nRows {
-				hi = nRows
-			}
-			in.palGridChunk(tr, lo, hi, r, spColK, capK, leafOrd, pg, sc, typStack, contrib)
+			hi := min(lo+palChunkRows, nRows)
+			in.palGridChunk(tr, lo, hi, r, spColK, capK, leafOrd, pg, sc)
 		}
-	}
-	if workers := in.workerCount(nRoots, nRows*len(os)); workers > 1 {
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				sc := in.getTrieScratch(tr.maxDepth)
-				typStack := make([]int32, tr.maxDepth)
-				contrib := make([]float64, tr.maxDepth)
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= nRoots {
-						in.scratch.Put(sc)
-						return
-					}
-					unit(r, sc, typStack, contrib)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		sc := in.getTrieScratch(tr.maxDepth)
-		typStack := make([]int32, tr.maxDepth)
-		contrib := make([]float64, tr.maxDepth)
-		for r := 0; r < nRoots; r++ {
-			unit(r, sc, typStack, contrib)
-		}
-		in.scratch.Put(sc)
-	}
+	})
 	in.palEvals.Add(int64(nGrid * len(os)))
 	return pg
 }
 
 // palGridChunk walks root subtree r over rows [lo, hi), sweeping each
 // node's threshold values and accumulating each ordering's per-position
-// sums into the table at that ordering's leaf. Row-level mechanics —
-// fold, contribution guard, live lists, spent checkpoints — mirror
-// palTrieChunk exactly; see the contract at the top of the file.
-func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float64, capK [][]float64, leafOrd []int32, pg *PalGrid, sc *trieScratch, typStack []int32, contrib []float64) {
-	n := hi - lo
-	nRows := len(in.ws)
-	budget := in.Budget
-	ws := in.ws[lo:hi]
+// sums into the table at that ordering's leaf. The row loops are the
+// fixed-threshold walk's (rowFold, trie.go); see the contract at the top
+// of the file.
+func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float64, capK [][]float64, leafOrd []int32, pg *PalGrid, sc *trieScratch) {
 	skip := tr.skip
 	nOs, nT := pg.nOs, pg.nT
 	stride := pg.stride
@@ -203,101 +148,20 @@ func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float6
 		}
 	}
 	walkNode = func(i int32, d int, idx int) {
-		var pSpent []float64
-		var pLive []int32
-		if d == 0 {
-			pSpent, pLive = sc.zero[:n], sc.all[:n]
-		} else {
-			pSpent, pLive = sc.spent[(d-1)*palChunkRows:(d-1)*palChunkRows+n], sc.live[d-1]
-		}
+		f := in.nodeFold(tr, i, lo, hi, sc)
 		t := int(tr.typ[i])
-		ct := tr.cost[i]
-		zeff := in.zeffT[t*nRows+lo : t*nRows+hi]
-		recip := in.zrecipT[t*nRows+lo : t*nRows+hi]
-		typStack[d] = tr.typ[i]
+		sc.typ[d] = tr.typ[i]
 		leaf := skip[i] == i+1
-		cm := tr.childMin[i]
-		for k := 0; k < len(capK[i]); k++ {
-			capk := capK[i][k]
-			var a float64
+		for k, capn := range capK[i] {
+			f.capn = capn
 			if leaf {
-				if ct == 1 {
-					for _, rr := range pLive {
-						nt := math.Floor(budget - pSpent[rr])
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-					}
-				} else {
-					for _, rr := range pLive {
-						nt := math.Floor((budget - pSpent[rr]) / ct)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-					}
-				}
-				contrib[d] = a
+				sc.contrib[d] = f.leaf()
 				base := ((idx+k*stride[t])*nOs + int(leafOrd[i])) * nT
 				for dd := 0; dd <= d; dd++ {
-					data[base+int(typStack[dd])] += contrib[dd]
+					data[base+int(sc.typ[dd])] += sc.contrib[dd]
 				}
 			} else {
-				sp := spColK[i][k][lo:hi]
-				cur := sc.spent[d*palChunkRows : d*palChunkRows+n]
-				myLive := sc.live[d][:0]
-				if ct == 1 {
-					for _, rr := range pLive {
-						spent := pSpent[rr]
-						nt := math.Floor(budget - spent)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-						ns := spent + sp[rr]
-						cur[rr] = ns
-						if budget-ns >= cm {
-							myLive = append(myLive, rr)
-						}
-					}
-				} else {
-					for _, rr := range pLive {
-						spent := pSpent[rr]
-						nt := math.Floor((budget - spent) / ct)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-						ns := spent + sp[rr]
-						cur[rr] = ns
-						if budget-ns >= cm {
-							myLive = append(myLive, rr)
-						}
-					}
-				}
-				sc.live[d] = myLive
-				contrib[d] = a
+				sc.contrib[d] = f.fold(spColK[i][k][lo:hi], tr.childMin[i], sc)
 				walkRange(i+1, skip[i], d+1, idx+k*stride[t])
 			}
 		}

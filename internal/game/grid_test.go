@@ -49,12 +49,18 @@ func TestPalGridSweepMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPalGridSweepRefusals covers the fallback conditions: oversized
-// tables, partial orderings, and duplicate orderings all return nil
-// rather than a wrong or gigantic table.
+// TestPalGridSweepRefusals covers the fallback conditions: a steps
+// slice without one range per type, oversized tables, partial
+// orderings, and duplicate orderings all return nil rather than a wrong
+// or gigantic table (or a panic).
 func TestPalGridSweepRefusals(t *testing.T) {
 	g := trieTestGame(4, 1)
 	in := mustInstance(t, g, 6)
+	for _, steps := range [][]int{{1, 1, 1}, {1, 1, 1, 1, 1}, nil} {
+		if pg := in.PalGridSweep(AllOrderings(4), steps); pg != nil {
+			t.Fatalf("sweep accepted %d step ranges for 4 types", len(steps))
+		}
+	}
 	if pg := in.PalGridSweep(AllOrderings(4), []int{9999, 9999, 9999, 9999}); pg != nil {
 		t.Fatal("sweep accepted a grid far past the memory cap")
 	}

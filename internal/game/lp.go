@@ -40,17 +40,7 @@ type LPResult struct {
 //	     u_e ≥ 0                              (when AllowNoAttack)
 //	     Σ_o p_o = 1,  p_o ≥ 0,  u_e free
 func (in *Instance) SolveFixed(Q []Ordering, b Thresholds) (*LPResult, error) {
-	return in.solveFixed(Q, b, nil, true)
-}
-
-// SolveFixedEphemeral is SolveFixed minus the pal cache: detection
-// probabilities are computed through the read-through no-cache path, so
-// nothing is interned or stored. One-shot sweeps — brute force visits
-// each threshold vector exactly once — otherwise fill the cache with
-// entries that will never be read again and pay map and GC cost for the
-// privilege.
-func (in *Instance) SolveFixedEphemeral(Q []Ordering, b Thresholds) (*LPResult, error) {
-	return in.solveFixed(Q, b, nil, false)
+	return in.solveFixed(Q, b, nil)
 }
 
 // SolveFixedWarm is SolveFixed with an advisory warm-start basis from a
@@ -60,10 +50,10 @@ func (in *Instance) SolveFixedEphemeral(Q []Ordering, b Thresholds) (*LPResult, 
 // incompatible basis degrades to the cold solve; it never changes the
 // result, only the pivot count.
 func (in *Instance) SolveFixedWarm(Q []Ordering, b Thresholds, warm *MasterBasis) (*LPResult, error) {
-	return in.solveFixed(Q, b, warm, true)
+	return in.solveFixed(Q, b, warm)
 }
 
-func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis, cache bool) (*LPResult, error) {
+func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis) (*LPResult, error) {
 	if len(Q) == 0 {
 		return nil, fmt.Errorf("game: SolveFixed needs at least one ordering")
 	}
@@ -78,21 +68,16 @@ func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis, ca
 
 	// Pal for all orderings in one batched pass, then Ua rows per
 	// (ordering, entity signature).
-	var pals [][]float64
-	if cache {
-		pals = in.PalBatch(Q, b)
-	} else {
-		pals = in.PalBatchNoCache(Q, b)
-	}
-	return in.solveFixedFromPals(Q, pals, warm)
+	return in.solveFixedFromPals(Q, in.PalBatch(Q, b), warm)
 }
 
 // SolveFixedPals solves the restricted LP with the detection
 // probabilities already in hand — one pal vector per ordering, as
-// returned by PalGrid.Pals. Threshold-grid sweeps batch their pal work
-// across every grid point up front and come through here, skipping
-// both pal evaluation and the per-call permutation validation of
-// SolveFixed (the orderings were validated when the grid was built).
+// returned by PalGrid.Pals or PalBatchNoCache. Brute force visits each
+// threshold vector exactly once and comes through here, so its pal
+// vectors never enter the cache; it also skips the per-call
+// permutation validation of SolveFixed (the caller enumerated the
+// orderings).
 func (in *Instance) SolveFixedPals(Q []Ordering, pals [][]float64) (*LPResult, error) {
 	if len(Q) == 0 {
 		return nil, fmt.Errorf("game: SolveFixedPals needs at least one ordering")
@@ -189,34 +174,14 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 	return res, nil
 }
 
-// ReducedCost prices a candidate ordering column o against the duals of a
-// previously solved restricted LP. Negative means o improves the LP.
-// Partial orderings are priced too (types absent are never audited), which
-// is what the greedy CGGS oracle exploits.
-func (in *Instance) ReducedCost(res *LPResult, o Ordering, b Thresholds) float64 {
-	return in.reducedCostFromPal(res, in.Pal(o, b))
-}
-
-// ReducedCostBatch prices many candidate columns at once, evaluating all
-// their detection probabilities in a single pass over the realization
-// matrix. The CGGS greedy oracle prices every one-type extension of its
-// partial ordering per step, which is exactly this shape.
-func (in *Instance) ReducedCostBatch(res *LPResult, os []Ordering, b Thresholds) []float64 {
-	pals := in.PalBatch(os, b)
-	out := make([]float64, len(os))
-	for i, pal := range pals {
-		out[i] = in.reducedCostFromPal(res, pal)
-	}
-	return out
-}
-
-// ReducedCostBatchNoCache is ReducedCostBatch through PalBatchNoCache:
-// identical values, but neither the pal cache nor the intern tables grow
-// on misses. The reference pricing oracle's throwaway partial orderings
-// go through here.
-func (in *Instance) ReducedCostBatchNoCache(res *LPResult, os []Ordering, b Thresholds) []float64 {
-	pals := in.PalBatchNoCache(os, b)
-	out := make([]float64, len(os))
+// ReducedCosts prices candidate columns against the duals of a
+// previously solved restricted LP, one reduced cost per pal vector.
+// Negative means the column improves the LP. Partial orderings price
+// too (types absent are never audited). The caller picks where the pal
+// vectors come from: PalBatch for columns it will price again,
+// PalBatchNoCache for throwaway candidates.
+func (in *Instance) ReducedCosts(res *LPResult, pals [][]float64) []float64 {
+	out := make([]float64, len(pals))
 	for i, pal := range pals {
 		out[i] = in.reducedCostFromPal(res, pal)
 	}

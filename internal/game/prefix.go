@@ -3,10 +3,6 @@ package game
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
 )
 
 // PrefixPricer is the incremental pricing kernel behind the greedy CGGS
@@ -112,66 +108,21 @@ func (pp *PrefixPricer) ExtendDeltas(cands []int) []float64 {
 	in := pp.in
 	nRows := len(in.ws)
 	nChunks := (nRows + palChunkRows - 1) / palChunkRows
-	partials := make([][]float64, nChunks)
-	for c := range partials {
-		partials[c] = make([]float64, len(cands))
-	}
-	cell := func(unit int) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// Panic-only point, same containment story as palCompute:
-			// either the worker pool below or the solver entry guard
-			// converts it back to a typed error.
-			panic(err)
-		}
-		c, j := unit/len(cands), unit%len(cands)
+	nc := len(cands)
+	partials := make([]float64, nChunks*nc) // [chunk][candidate]
+	in.runUnits(nChunks*nc, nRows*nc, 0, func(unit int, _ *trieScratch) {
+		c, j := unit/nc, unit%nc
 		t := cands[j]
 		if pp.chunkMaxRem[c] < pp.cost[t] {
 			return // every row's remainder is below one audit: exact zero
 		}
 		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		partials[c][j] = pp.extendChunk(lo, hi, t)
-	}
+		partials[unit] = pp.extendChunk(lo, min(lo+palChunkRows, nRows), t)
+	})
 
-	nUnits := nChunks * len(cands)
-	if workers := in.workerCount(nUnits, nRows*len(cands)); workers > 1 {
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						return
-					}
-					cell(u)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		for u := 0; u < nUnits; u++ {
-			cell(u)
-		}
-	}
-
-	deltas := make([]float64, len(cands))
+	deltas := make([]float64, nc)
 	for c := 0; c < nChunks; c++ {
-		for j, v := range partials[c] {
+		for j, v := range partials[c*nc : (c+1)*nc] {
 			deltas[j] += v
 		}
 	}
@@ -180,43 +131,37 @@ func (pp *PrefixPricer) ExtendDeltas(cands []int) []float64 {
 
 // extendChunk is ExtendDeltas' inner loop: the appended position of
 // candidate t over rows [lo, hi), against the checkpointed spent values —
-// the same operations palChunk performs at that position of a full walk.
+// the same operations the trie walk performs at that position.
 func (pp *PrefixPricer) extendChunk(lo, hi int, t int) float64 {
 	in := pp.in
-	nT := in.nT
+	nRows := len(in.ws)
 	budget := in.Budget
-	zs := in.zs
-	zrecip := in.zrecip
-	ws := in.ws
-	spent := pp.spent
+	ws := in.ws[lo:hi]
+	spent := pp.spent[lo:hi]
+	zeff := in.zeffT[t*nRows+lo : t*nRows+hi]
+	recip := in.zrecipT[t*nRows+lo : t*nRows+hi]
 	ct := pp.cost[t]
 	capT := pp.capn[t]
 	var acc float64
-	for zi := lo; zi < hi; zi++ {
+	for zi, w := range ws {
 		rem := budget - spent[zi]
 		if rem < ct {
 			continue // avail rounds to zero; the full walk adds nothing
 		}
-		var avail float64
+		var nt float64
 		if ct == 1 {
-			avail = math.Floor(rem)
+			nt = math.Floor(rem)
 		} else {
-			avail = math.Floor(rem / ct)
+			nt = math.Floor(rem / ct)
 		}
-		zt := zs[zi*nT+t]
-		ztEff := zt
-		if ztEff < 1 {
-			ztEff = 1
-		}
-		nt := avail
 		if capT < nt {
 			nt = capT
 		}
-		if ztEff < nt {
-			nt = ztEff
+		if z := zeff[zi]; z < nt {
+			nt = z
 		}
 		if nt > 0 {
-			acc += ws[zi] * nt * zrecip[zi*nT+t]
+			acc += w * nt * recip[zi]
 		}
 	}
 	return acc
@@ -224,33 +169,23 @@ func (pp *PrefixPricer) extendChunk(lo, hi int, t int) float64 {
 
 // Advance appends type t to the prefix, folding its budget consumption
 // into every row's checkpoint — the same spent += min(z_t·C_t, b_t)
-// addition, in the same prefix order, the full walk performs — and
-// records delta (t's ExtendDeltas value) as the prefix pal entry.
+// addition, in the same prefix order and from the same spentColumn,
+// that the trie walk performs — and records delta (t's ExtendDeltas
+// value) as the prefix pal entry.
 func (pp *PrefixPricer) Advance(t int, delta float64) {
 	if t < 0 || t >= pp.in.nT || pp.inPrefix[t] {
 		panic(fmt.Sprintf("game: Advance type %d invalid for prefix %v", t, pp.prefix))
 	}
-	in := pp.in
-	nT := in.nT
-	zs := in.zs
-	budget := in.Budget
-	ct := pp.cost[t]
-	bt := pp.bthr[t]
+	budget := pp.in.Budget
+	col := pp.in.spentColumn(t, pp.bthr[t])
 	spent := pp.spent
 	nRows := len(spent)
 	for c := range pp.chunkMaxRem {
 		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
+		hi := min(lo+palChunkRows, nRows)
 		maxRem := 0.0
 		for zi := lo; zi < hi; zi++ {
-			s := zs[zi*nT+t] * ct
-			if bt < s {
-				s = bt
-			}
-			sp := spent[zi] + s
+			sp := spent[zi] + col[zi]
 			spent[zi] = sp
 			if rem := budget - sp; rem > maxRem {
 				maxRem = rem

@@ -3,9 +3,6 @@ package game
 import (
 	"math"
 	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
 )
 
 // Batched orderings share work through their common prefixes: the budget
@@ -20,14 +17,15 @@ import (
 // kernel work.
 //
 // Determinism/equivalence contract: the trie walk is bitwise-identical
-// to walking each ordering independently. Each trie node accumulates the
+// to walking each ordering independently (the per-ordering kernel in
+// trie_test.go is the golden reference). Each trie node accumulates the
 // contribution of its own (prefix, type) position over a chunk's rows in
 // row order — the same floating-point operations, in the same order, as
-// the per-ordering kernel performed at that position — and per-ordering
+// the per-ordering kernel performs at that position — and per-ordering
 // results are assembled by summing each path node across chunks in
-// chunk-index order, exactly as the per-ordering kernel merged its
-// chunk partials. Subtree skipping (below) only ever skips positions
-// whose contribution is zero, so it changes work, never results.
+// chunk-index order, exactly as the per-ordering kernel merges its chunk
+// partials. Subtree skipping (below) only ever skips positions whose
+// contribution is zero, so it changes work, never results.
 
 // palTrie is the flattened prefix trie of one ordering batch, laid out
 // in DFS order so a subtree is a contiguous index range.
@@ -204,10 +202,9 @@ func (in *Instance) buildPalTrie(os []Ordering, b Thresholds) *palTrie {
 // palCompute evaluates the orderings against the realization matrix and
 // returns one freshly allocated pal vector per ordering, sharing prefix
 // work across the batch through a trie. Results are bitwise-identical to
-// palComputeReference (engine.go) at every worker count: work units are
-// (chunk × root-subtree) cells writing disjoint node spans of their
-// chunk's scratch, and node partials merge in chunk-index order exactly
-// like the per-ordering kernel's chunk partials did.
+// evaluating each ordering on its own at every worker count: work units
+// are (chunk × root-subtree) cells writing disjoint node spans of their
+// chunk's scratch, and node partials merge in chunk-index order.
 func (in *Instance) palCompute(os []Ordering, b Thresholds) [][]float64 {
 	nT := len(in.G.Types)
 	nRows := len(in.ws)
@@ -221,65 +218,12 @@ func (in *Instance) palCompute(os []Ordering, b Thresholds) [][]float64 {
 	for c := range partials {
 		partials[c] = pbacking[c*nNodes : (c+1)*nNodes : (c+1)*nNodes]
 	}
-	cell := func(unit int, sc *trieScratch) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// The kernel has no error return; panic-only point. The
-			// worker containment below (or, on the serial path, the
-			// solver entry guard) turns it back into a typed error.
-			panic(err)
-		}
+	in.runUnits(nChunks*nRoots, nRows*len(os), tr.maxDepth, func(unit int, sc *trieScratch) {
 		c, r := unit/nRoots, unit%nRoots
 		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
+		hi := min(lo+palChunkRows, nRows)
 		in.palTrieChunk(tr, lo, hi, tr.rootAt[r], tr.rootAt[r+1], partials[c], sc)
-	}
-
-	nUnits := nChunks * nRoots
-	if workers := in.workerCount(nUnits, nRows*len(os)); workers > 1 {
-		// Panic containment: a panicking worker must not kill the
-		// process (callers above the solver entry points expect a typed
-		// error) and must not strand its siblings. The first panic value
-		// is captured here; the panicking worker exits, the remaining
-		// workers drain the remaining units, wg.Wait returns, and the
-		// panic is re-raised on the calling goroutine, where the solver
-		// entry guard converts it to a *SolveError.
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				sc := in.getTrieScratch(tr.maxDepth)
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						in.scratch.Put(sc)
-						return
-					}
-					cell(u, sc)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		sc := in.getTrieScratch(tr.maxDepth)
-		for u := 0; u < nUnits; u++ {
-			cell(u, sc)
-		}
-		in.scratch.Put(sc)
-	}
+	})
 
 	// Deterministic merge: chunk-index order per node, every worker
 	// count, then scatter node sums back to each ordering's pal row.
@@ -334,11 +278,11 @@ func (in *Instance) spentColumn(t int, bt float64) []float64 {
 	} else if len(c.m) >= spColCacheMax {
 		c.m = make(map[spColKey][]float64)
 	}
-	nT := in.nT
+	nRows := len(in.ws)
 	ct := in.G.Types[t].Cost
-	col := make([]float64, len(in.ws))
-	for zi := range col {
-		sp := in.zs[zi*nT+t] * ct
+	col := make([]float64, nRows)
+	for zi, z := range in.zT[t*nRows : (t+1)*nRows] {
+		sp := z * ct
 		if bt < sp {
 			sp = bt
 		}
@@ -356,6 +300,10 @@ type trieScratch struct {
 	live  [][]int32 // per-depth surviving row indices (chunk-relative)
 	all   []int32   // 0..palChunkRows-1
 	zero  []float64 // palChunkRows zeros
+	// typ and contrib are the grid sweep's path state (grid.go): the
+	// type and the row sum of each node on the current root path.
+	typ     []int32
+	contrib []float64
 }
 
 // getTrieScratch pulls a pooled scratch, reallocating only when a
@@ -363,7 +311,11 @@ type trieScratch struct {
 // zeroing on reuse: the walk never reads a scratch cell it has not
 // written on the current live path (depth-d checkpoints are consumed
 // only through the depth-d live list, which is rebuilt per subtree).
+// Depth 0 (a kernel that walks no trie) gets nil.
 func (in *Instance) getTrieScratch(maxDepth int) *trieScratch {
+	if maxDepth == 0 {
+		return nil
+	}
 	if v := in.scratch.Get(); v != nil {
 		if sc := v.(*trieScratch); len(sc.live) >= maxDepth {
 			return sc
@@ -372,12 +324,20 @@ func (in *Instance) getTrieScratch(maxDepth int) *trieScratch {
 	return newTrieScratch(maxDepth)
 }
 
+func (in *Instance) putTrieScratch(sc *trieScratch) {
+	if sc != nil {
+		in.scratch.Put(sc)
+	}
+}
+
 func newTrieScratch(maxDepth int) *trieScratch {
 	sc := &trieScratch{
-		spent: make([]float64, maxDepth*palChunkRows),
-		live:  make([][]int32, maxDepth),
-		all:   make([]int32, palChunkRows),
-		zero:  make([]float64, palChunkRows),
+		spent:   make([]float64, maxDepth*palChunkRows),
+		live:    make([][]int32, maxDepth),
+		all:     make([]int32, palChunkRows),
+		zero:    make([]float64, palChunkRows),
+		typ:     make([]int32, maxDepth),
+		contrib: make([]float64, maxDepth),
 	}
 	for d := range sc.live {
 		sc.live[d] = make([]int32, 0, palChunkRows)
@@ -395,115 +355,147 @@ func newTrieScratch(maxDepth int) *trieScratch {
 // parent depth's spent checkpoints, so each step is a handful of
 // sequential loads — where the row-outer walk paid per-node metadata
 // loads and unpredictable branches on every step. Per-depth live lists
-// reproduce the row-level early exit: a row whose post-fold remainder
-// drops below the cheapest descendant cost (childMin) leaves the list,
-// which is exactly the rem < subMin subtree skip of the per-ordering
-// kernel — it only ever drops zero-contribution positions, and a row
-// kept past a child whose own subMin exceeds the remainder contributes
-// the same exact zero through the nt > 0 guard, so sums are bitwise
-// unchanged (see the contract above).
+// reproduce the per-ordering kernel's row-level early exit: a row whose
+// post-fold remainder drops below the cheapest descendant cost
+// (childMin) leaves the list, which only ever drops zero-contribution
+// positions, and a row kept past a child whose own subMin exceeds the
+// remainder contributes the same exact zero through the nt > 0 guard,
+// so sums are bitwise unchanged (see the contract above).
 func (in *Instance) palTrieChunk(tr *palTrie, lo, hi int, s, e int32, acc []float64, sc *trieScratch) {
-	n := hi - lo
-	nRows := len(in.ws)
-	budget := in.Budget
-	ws := in.ws[lo:hi]
-	skip, depth := tr.skip, tr.depth
-	i := s
-	for i < e {
-		d := int(depth[i])
-		var pSpent []float64
-		var pLive []int32
-		if d == 0 {
-			pSpent, pLive = sc.zero[:n], sc.all[:n]
-		} else {
-			pSpent, pLive = sc.spent[(d-1)*palChunkRows:(d-1)*palChunkRows+n], sc.live[d-1]
-		}
-		if len(pLive) == 0 {
+	skip := tr.skip
+	for i := s; i < e; {
+		f := in.nodeFold(tr, i, lo, hi, sc)
+		if len(f.pLive) == 0 {
 			i = skip[i] // no live row can afford any audit in this subtree
 			continue
 		}
-		t := int(tr.typ[i])
-		ct := tr.cost[i]
-		capK := tr.capn[i]
-		zeff := in.zeffT[t*nRows+lo : t*nRows+hi]
-		recip := in.zrecipT[t*nRows+lo : t*nRows+hi]
-		var a float64
 		if skip[i] == i+1 {
-			// Leaf: contribution only, no fold, no live list.
-			if ct == 1 {
-				for _, rr := range pLive {
-					nt := math.Floor(budget - pSpent[rr])
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-				}
-			} else {
-				for _, rr := range pLive {
-					nt := math.Floor((budget - pSpent[rr]) / ct)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-				}
-			}
+			acc[i] += f.leaf()
 		} else {
-			sp := tr.spCol[i][lo:hi]
-			cur := sc.spent[d*palChunkRows : d*palChunkRows+n]
-			myLive := sc.live[d][:0]
-			cm := tr.childMin[i]
-			if ct == 1 {
-				for _, rr := range pLive {
-					spent := pSpent[rr]
-					nt := math.Floor(budget - spent)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-					ns := spent + sp[rr]
-					cur[rr] = ns
-					if budget-ns >= cm {
-						myLive = append(myLive, rr)
-					}
-				}
-			} else {
-				for _, rr := range pLive {
-					spent := pSpent[rr]
-					nt := math.Floor((budget - spent) / ct)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-					ns := spent + sp[rr]
-					cur[rr] = ns
-					if budget-ns >= cm {
-						myLive = append(myLive, rr)
-					}
-				}
-			}
-			sc.live[d] = myLive
+			acc[i] += f.fold(tr.spCol[i][lo:hi], tr.childMin[i], sc)
 		}
-		acc[i] += a
 		i++
 	}
+}
+
+// nodeFold is trie node i's rowFold over chunk rows [lo, hi): its
+// type's columns and constants, and the parent depth's spent
+// checkpoints and live rows — the zero-spent all-rows state at the
+// roots.
+func (in *Instance) nodeFold(tr *palTrie, i int32, lo, hi int, sc *trieScratch) rowFold {
+	n, nRows := hi-lo, len(in.ws)
+	t, d := int(tr.typ[i]), int(tr.depth[i])
+	f := rowFold{
+		budget: in.Budget, ct: tr.cost[i], capn: tr.capn[i], d: d,
+		ws: in.ws[lo:hi], zeff: in.zeffT[t*nRows+lo : t*nRows+hi], recip: in.zrecipT[t*nRows+lo : t*nRows+hi],
+	}
+	if d == 0 {
+		f.pSpent, f.pLive = sc.zero[:n], sc.all[:n]
+	} else {
+		f.pSpent, f.pLive = sc.spent[(d-1)*palChunkRows:(d-1)*palChunkRows+n], sc.live[d-1]
+	}
+	return f
+}
+
+// rowFold is one trie position of the Eq. 1 budget recursion over a
+// chunk's live rows: the position's audit cost, cap ⌊b_t/C_t⌋, depth d
+// and type columns, and the parent's checkpoints. Both trie kernels (the
+// fixed-threshold walk above and the grid sweep of grid.go) run their
+// row loops through it, so the floating-point operations behind every
+// bitwise contract exist once.
+type rowFold struct {
+	budget, ct, capn float64
+	d                int
+	ws, zeff, recip  []float64 // chunk-relative
+	pSpent           []float64
+	pLive            []int32
+}
+
+// leaf returns the position's contribution Σ w·n_t/Z′_t over the live
+// rows, where n_t = min(⌊(B − spent)/C_t⌋, cap, Z′_t).
+func (f *rowFold) leaf() float64 {
+	budget, ct, capn := f.budget, f.ct, f.capn
+	ws, zeff, recip, pSpent := f.ws, f.zeff, f.recip, f.pSpent
+	var a float64
+	if ct == 1 {
+		for _, rr := range f.pLive {
+			nt := math.Floor(budget - pSpent[rr])
+			if capn < nt {
+				nt = capn
+			}
+			if z := zeff[rr]; z < nt {
+				nt = z
+			}
+			if nt > 0 {
+				a += ws[rr] * nt * recip[rr]
+			}
+		}
+	} else {
+		for _, rr := range f.pLive {
+			nt := math.Floor((budget - pSpent[rr]) / ct)
+			if capn < nt {
+				nt = capn
+			}
+			if z := zeff[rr]; z < nt {
+				nt = z
+			}
+			if nt > 0 {
+				a += ws[rr] * nt * recip[rr]
+			}
+		}
+	}
+	return a
+}
+
+// fold is leaf for an inner node: it also folds the position's budget
+// consumption sp = min(z_t·C_t, b_t) into the depth-d spent checkpoints
+// of sc and rebuilds its depth-d live list from the rows whose remainder
+// can still afford the cheapest descendant audit cm.
+func (f *rowFold) fold(sp []float64, cm float64, sc *trieScratch) float64 {
+	budget, ct, capn, d := f.budget, f.ct, f.capn, f.d
+	ws, zeff, recip, pSpent := f.ws, f.zeff, f.recip, f.pSpent
+	cur := sc.spent[d*palChunkRows : d*palChunkRows+len(ws)]
+	live := sc.live[d][:0]
+	var a float64
+	if ct == 1 {
+		for _, rr := range f.pLive {
+			spent := pSpent[rr]
+			nt := math.Floor(budget - spent)
+			if capn < nt {
+				nt = capn
+			}
+			if z := zeff[rr]; z < nt {
+				nt = z
+			}
+			if nt > 0 {
+				a += ws[rr] * nt * recip[rr]
+			}
+			ns := spent + sp[rr]
+			cur[rr] = ns
+			if budget-ns >= cm {
+				live = append(live, rr)
+			}
+		}
+	} else {
+		for _, rr := range f.pLive {
+			spent := pSpent[rr]
+			nt := math.Floor((budget - spent) / ct)
+			if capn < nt {
+				nt = capn
+			}
+			if z := zeff[rr]; z < nt {
+				nt = z
+			}
+			if nt > 0 {
+				a += ws[rr] * nt * recip[rr]
+			}
+			ns := spent + sp[rr]
+			cur[rr] = ns
+			if budget-ns >= cm {
+				live = append(live, rr)
+			}
+		}
+	}
+	sc.live[d] = live
+	return a
 }

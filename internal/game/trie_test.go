@@ -34,6 +34,113 @@ func trieTestGame(nT int, seed int64) *Game {
 	return g
 }
 
+// palComputeReference evaluates each ordering independently against the
+// realization matrix — the pre-trie kernel, kept as the reference
+// implementation the equivalence goldens pin palCompute (trie.go)
+// against, bit for bit.
+func (in *Instance) palComputeReference(os []Ordering, b Thresholds) [][]float64 {
+	nT := len(in.G.Types)
+	nRows := len(in.ws)
+	nChunks := (nRows + palChunkRows - 1) / palChunkRows
+
+	// Per-ordering constants hoisted out of the realization loop:
+	// position costs, audit caps ⌊b_t/C_t⌋, position thresholds, and the
+	// suffix-minimum cost that lets the kernel stop a row early once the
+	// remaining budget can't buy any further audit.
+	costs := make([][]float64, len(os))
+	caps := make([][]float64, len(os))
+	bpos := make([][]float64, len(os))
+	sufMin := make([][]float64, len(os))
+	for k, o := range os {
+		costs[k] = make([]float64, len(o))
+		caps[k] = make([]float64, len(o))
+		bpos[k] = make([]float64, len(o))
+		sufMin[k] = make([]float64, len(o))
+		for i, t := range o {
+			costs[k][i] = in.G.Types[t].Cost
+			caps[k][i] = math.Floor(b[t] / costs[k][i])
+			bpos[k][i] = b[t]
+		}
+		m := math.Inf(1)
+		for i := len(o) - 1; i >= 0; i-- {
+			if costs[k][i] < m {
+				m = costs[k][i]
+			}
+			sufMin[k][i] = m
+		}
+	}
+
+	// Each (chunk, ordering) cell accumulates into its own nT-wide span;
+	// chunk partials merge in chunk-index order.
+	partials := make([][]float64, nChunks)
+	for c := range partials {
+		partials[c] = make([]float64, len(os)*nT)
+		lo := c * palChunkRows
+		hi := min(lo+palChunkRows, nRows)
+		for k := range os {
+			in.palChunk(lo, hi, os[k], costs[k], caps[k], bpos[k], sufMin[k], partials[c][k*nT:(k+1)*nT])
+		}
+	}
+
+	backing := make([]float64, len(os)*nT)
+	out := make([][]float64, len(os))
+	for k := range os {
+		out[k] = backing[k*nT : (k+1)*nT : (k+1)*nT]
+	}
+	for c := 0; c < nChunks; c++ {
+		for i, v := range partials[c] {
+			backing[i] += v
+		}
+	}
+	return out
+}
+
+// palChunk accumulates the contribution of realization rows [lo, hi) for
+// one ordering into accRow (nT wide), walking each row's budget
+// recursion position by position and bailing out of a row once the
+// remaining budget is below the cheapest remaining audit cost.
+func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow []float64) {
+	nRows := len(in.ws)
+	budget := in.Budget
+	for zi := lo; zi < hi; zi++ {
+		w := in.ws[zi]
+		spent := 0.0
+		for i, t := range o {
+			rem := budget - spent
+			if rem < mink[i] {
+				break // no remaining type can afford one audit
+			}
+			ct := ck[i]
+			var avail float64
+			if ct == 1 {
+				avail = math.Floor(rem)
+			} else {
+				avail = math.Floor(rem / ct)
+			}
+			zt := in.zT[t*nRows+zi]
+			ztEff := zt
+			if ztEff < 1 {
+				ztEff = 1
+			}
+			nt := avail
+			if c := capk[i]; c < nt {
+				nt = c
+			}
+			if ztEff < nt {
+				nt = ztEff
+			}
+			if nt > 0 {
+				accRow[t] += w * nt * in.zrecipT[t*nRows+zi]
+			}
+			s := zt * ct
+			if bt := bk[i]; bt < s {
+				s = bt
+			}
+			spent += s
+		}
+	}
+}
+
 // TestPalTrieMatchesReference pins the trie-batched kernel against the
 // per-ordering reference kernel, bit for bit, across random batches of
 // full and partial orderings on games with non-unit costs and

@@ -31,10 +31,12 @@ func BruteForce(ctx context.Context, in *game.Instance) (*BruteForceResult, erro
 
 // bruteForce is BruteForce with the grid-swept pal table switchable:
 // the sweep shares trie-prefix row work across grid points (see
-// game.PalGridSweep) and is bitwise-equivalent to solving each point
+// game.PalGridSweep) and is bitwise-equivalent to evaluating each point
 // from scratch — the per-point path remains as the fallback for grids
 // past the sweep's memory cap and as the golden reference its
-// equivalence test pins the sweep against.
+// equivalence test pins the sweep against. Both paths solve each point
+// from uncached pal vectors: every threshold vector is visited once,
+// so caching them would be pure map and GC pressure.
 func bruteForce(ctx context.Context, in *game.Instance, sweep bool) (result *BruteForceResult, err error) {
 	defer contain("brute", &err)
 	nT := in.G.NumTypes()
@@ -73,23 +75,20 @@ func bruteForce(ctx context.Context, in *game.Instance, sweep bool) (result *Bru
 				return nil
 			}
 			res.Explored++
-			var pol *MixedPolicy
-			if pg != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				lpres, err := in.SolveFixedPals(all, pg.Pals(ks))
-				if err != nil {
-					return err
-				}
-				pol = &MixedPolicy{Q: all, Po: lpres.Po, Thresholds: b.Clone(), Objective: lpres.Objective}
-			} else {
-				var err error
-				pol, err = exact(ctx, in, all, b, true)
-				if err != nil {
-					return err
-				}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			var pals [][]float64
+			if pg != nil {
+				pals = pg.Pals(ks)
+			} else {
+				pals = in.PalBatchNoCache(all, b)
+			}
+			lpres, err := in.SolveFixedPals(all, pals)
+			if err != nil {
+				return err
+			}
+			pol := &MixedPolicy{Q: all, Po: lpres.Po, Thresholds: b.Clone(), Objective: lpres.Objective}
 			if best == nil || pol.Objective < best.Objective-1e-12 ||
 				(pol.Objective < best.Objective+1e-12 && lexLess(b, best.Thresholds)) {
 				best = pol

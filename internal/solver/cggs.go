@@ -65,11 +65,6 @@ type CGGSOptions struct {
 	// The paper's Algorithm 1 is greedy-only (the default); this switch
 	// exists for the column-oracle ablation.
 	ExhaustiveOracle bool
-	// ReferenceOracle prices greedy columns with the non-incremental
-	// batched oracle instead of the prefix-checkpoint pricer. Both emit
-	// bitwise-identical columns; this switch exists as the fallback and
-	// for the oracle-equivalence ablation.
-	ReferenceOracle bool
 }
 
 func (o CGGSOptions) withDefaults(numTypes int) CGGSOptions {
@@ -137,27 +132,16 @@ func CGGSWithStats(ctx context.Context, in *game.Instance, b game.Thresholds, op
 // that. This is the "solving the linear program to optimality" inner
 // solver used for Tables III, IV and VI (γ¹). The context is checked on
 // entry; the single SolveFixed over all orderings is not interruptible.
-func Exact(ctx context.Context, in *game.Instance, b game.Thresholds) (*MixedPolicy, error) {
-	return exact(ctx, in, game.AllOrderings(in.G.NumTypes()), b, false)
-}
-
-// exact is Exact with the ordering enumeration hoisted (BruteForce
-// enumerates once for thousands of grid points) and a cache policy
-// switch. Iterative callers (ISHM) revisit threshold vectors across
-// shrink rounds and want the pal cache; grid sweeps visit each vector
-// exactly once, for which caching is pure map and GC pressure — they
-// pass ephemeral=true.
-func exact(ctx context.Context, in *game.Instance, all []game.Ordering, b game.Thresholds, ephemeral bool) (pol *MixedPolicy, err error) {
+//
+// The pal vectors go through the cache: ISHM, the iterative caller,
+// revisits threshold vectors across shrink rounds.
+func Exact(ctx context.Context, in *game.Instance, b game.Thresholds) (pol *MixedPolicy, err error) {
 	defer contain("exact", &err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var res *game.LPResult
-	if ephemeral {
-		res, err = in.SolveFixedEphemeral(all, b)
-	} else {
-		res, err = in.SolveFixed(all, b)
-	}
+	all := game.AllOrderings(in.G.NumTypes())
+	res, err := in.SolveFixed(all, b)
 	if err != nil {
 		return nil, err
 	}

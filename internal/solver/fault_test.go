@@ -8,6 +8,7 @@ import (
 
 	"auditgame/internal/fault"
 	"auditgame/internal/game"
+	"auditgame/internal/sample"
 )
 
 // TestPivotFaultContained injects a fault into the simplex pivot loop — a
@@ -56,6 +57,68 @@ func TestPalWorkerPanicContained(t *testing.T) {
 	}
 	if !fault.IsInjected(err) {
 		t.Fatalf("injected fault not recognized through the wrap: %v", err)
+	}
+}
+
+// TestPalKernelPanicsContainedInParallel fires the PalWorker fault point
+// inside each pool-backed kernel on its parallel path — 4 workers on the
+// enumerated Syn A instance (4,851 realization rows), far above the
+// pool's serial cutoff — and checks the panic comes back to the calling
+// goroutine, where the entry guard turns it into a typed *SolveError.
+func TestPalKernelPanicsContainedInParallel(t *testing.T) {
+	synA := func() *game.Instance {
+		g := game.SynA()
+		src, err := sample.NewEnumerator(g.Dists(), sample.DefaultEnumerationLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := game.NewInstance(g, 10, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Workers = 4
+		return in
+	}
+	all := game.AllOrderings(4)
+	b := game.Thresholds{3, 3, 3, 3}
+	kernels := []struct {
+		name string
+		run  func(in *game.Instance)
+	}{
+		{"PalBatch", func(in *game.Instance) { in.PalBatch(all, b) }},
+		{"PalGridSweep", func(in *game.Instance) {
+			if in.PalGridSweep(all, []int{2, 2, 2, 2}) == nil {
+				t.Error("grid sweep refused a 3^4 grid")
+			}
+		}},
+		{"ExtendDeltas", func(in *game.Instance) {
+			pp, err := game.NewPrefixPricer(in, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.ExtendDeltas([]int{0, 1, 2, 3})
+		}},
+	}
+	defer fault.Disable()
+	for _, k := range kernels {
+		in := synA()
+		// Enable replaces the plan and resets its counters, so each
+		// kernel's first unit fires.
+		fault.Enable(fault.Plan{Seed: 4, Rules: []fault.Rule{
+			{Point: fault.PalWorker, Mode: fault.ModeError, Prob: 1, MaxFires: 1},
+		}})
+		err := func() (err error) {
+			defer contain("kernel", &err)
+			k.run(in)
+			return nil
+		}()
+		var se *SolveError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: error not a *SolveError: %T %v", k.name, err, err)
+		}
+		if !fault.IsInjected(err) {
+			t.Fatalf("%s: injected fault not recognized through the wrap: %v", k.name, err)
+		}
 	}
 }
 

@@ -7,17 +7,17 @@ import (
 )
 
 // This file is the CGGS pricing oracle (Algorithm 1's greedy column
-// construction) in two implementations:
-//
-//   - greedyOrderingIncremental prices each one-type extension from a
-//     PrefixPricer checkpoint — O(rows) per candidate instead of
-//     re-walking the whole prefix — with reduced-cost candidate pruning
-//     and an early stop once no completion can price below −eps.
-//   - greedyOrderingReference is the original batched oracle, kept as
-//     the fallback (CGGSOptions.ReferenceOracle) and as the golden
-//     reference the equivalence tests pin the incremental oracle
-//     against: both emit bitwise-identical columns.
-//
+// construction): each one-type extension is priced from a PrefixPricer
+// checkpoint — O(rows) per candidate instead of re-walking the whole
+// prefix — with reduced-cost candidate pruning and an early stop once no
+// completion can price below −eps. The non-incremental batched oracle
+// lives in oracle_test.go as the golden reference: both emit
+// bitwise-identical columns.
+
+// pricer is the signature of a greedy pricing oracle; SolveState.price
+// holds the one a solve runs.
+type pricer func(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, float64, error)
+
 // oracleStats carries the incremental oracle's work accounting into
 // CGGSStats.
 type oracleStats struct {
@@ -27,11 +27,11 @@ type oracleStats struct {
 
 // greedyOrderingIncremental builds the greedy pricing-oracle column
 // incrementally. It returns the column and its exact reduced cost —
-// bitwise-identical to what greedyOrderingReference plus a final
-// ReducedCost call would produce — or a nil ordering when the
-// completion bound proves no extension of the current prefix (greedy or
-// otherwise) can price below −eps, in which case the caller takes the
-// same termination path a non-improving column would have triggered.
+// bitwise-identical to what the batched reference oracle produces — or
+// a nil ordering when the completion bound proves no extension of the
+// current prefix (greedy or otherwise) can price below −eps, in which
+// case the caller takes the same termination path a non-improving
+// column would have triggered.
 func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, float64, error) {
 	nT := in.G.NumTypes()
 	pp, err := game.NewPrefixPricer(in, b)
@@ -64,55 +64,4 @@ func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thr
 		rc = out.BestRC
 	}
 	return pp.Prefix().Clone(), rc, nil
-}
-
-// greedyOrderingReference is the non-incremental oracle: all one-type
-// extensions of each step priced as one batch, every candidate's prefix
-// re-walked in full. Candidate orderings live in one flat backing array
-// reused across steps — the per-candidate append(partial[:len:len], t)
-// trick this replaces allocated |T| backing arrays per step and relied
-// on the three-index cap to avoid aliasing the shared prefix.
-func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thresholds) (game.Ordering, float64) {
-	nT := in.G.NumTypes()
-	partial := make(game.Ordering, 0, nT)
-	used := make([]bool, nT)
-	backing := make([]int, nT*nT)
-	cands := make([]game.Ordering, 0, nT)
-	candType := make([]int, 0, nT)
-	var bestRC float64
-	for len(partial) < nT {
-		cands, candType = cands[:0], candType[:0]
-		w := len(partial) + 1
-		for t := 0; t < nT; t++ {
-			if used[t] {
-				continue
-			}
-			c := backing[len(cands)*w : (len(cands)+1)*w : (len(cands)+1)*w]
-			copy(c, partial)
-			c[len(partial)] = t
-			cands = append(cands, c)
-			candType = append(candType, t)
-		}
-		rcs := in.ReducedCostBatchNoCache(res, cands, b)
-		bestT := -1
-		bestRC = math.Inf(1)
-		for j, rc := range rcs {
-			if rc < bestRC {
-				bestRC, bestT = rc, candType[j]
-			}
-		}
-		partial = append(partial, bestT)
-		used[bestT] = true
-	}
-	return partial, bestRC
-}
-
-// greedyOrdering dispatches between the oracle implementations; see
-// CGGSOptions.ReferenceOracle.
-func greedyOrdering(in *game.Instance, res *game.LPResult, b game.Thresholds, opts CGGSOptions, st *oracleStats) (game.Ordering, float64, error) {
-	if opts.ReferenceOracle {
-		o, rc := greedyOrderingReference(in, res, b)
-		return o, rc, nil
-	}
-	return greedyOrderingIncremental(in, res, b, opts.Eps, st)
 }

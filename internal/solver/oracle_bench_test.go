@@ -22,19 +22,22 @@ func BenchmarkGreedyOracle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("T%d/incremental", nT), func(b *testing.B) {
-			var st oracleStats
-			for i := 0; i < b.N; i++ {
-				if _, _, err := greedyOrderingIncremental(in, res, thr, 1e-7, &st); err != nil {
-					b.Fatal(err)
+		for _, oracle := range []struct {
+			name  string
+			price pricer
+		}{
+			{"incremental", NewSolveState(CGGSOptions{}).price},
+			{"reference", greedyOrderingReference},
+		} {
+			b.Run(fmt.Sprintf("T%d/%s", nT, oracle.name), func(b *testing.B) {
+				var st oracleStats
+				for i := 0; i < b.N; i++ {
+					if _, _, err := oracle.price(in, res, thr, 1e-7, &st); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(st.pruned)/float64(b.N), "pruned/col")
-		})
-		b.Run(fmt.Sprintf("T%d/reference", nT), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				greedyOrderingReference(in, res, thr)
-			}
-		})
+				b.ReportMetric(float64(st.pruned)/float64(b.N), "pruned/col")
+			})
+		}
 	}
 }

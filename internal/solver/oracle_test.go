@@ -32,6 +32,47 @@ func oracleTestInstance(t testing.TB, name string, sc workload.Scale, bank int) 
 	return in, caps
 }
 
+// greedyOrderingReference is the non-incremental pricing oracle: all
+// one-type extensions of each step priced as one batch, every
+// candidate's prefix re-walked in full through the batched kernel, and
+// the candidates' pal vectors kept out of the cache. It is the golden
+// reference the incremental oracle is pinned against; eps and st are
+// unused, so it fits SolveState.price.
+func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thresholds, _ float64, _ *oracleStats) (game.Ordering, float64, error) {
+	nT := in.G.NumTypes()
+	partial := make(game.Ordering, 0, nT)
+	used := make([]bool, nT)
+	backing := make([]int, nT*nT)
+	cands := make([]game.Ordering, 0, nT)
+	candType := make([]int, 0, nT)
+	var bestRC float64
+	for len(partial) < nT {
+		cands, candType = cands[:0], candType[:0]
+		w := len(partial) + 1
+		for t := 0; t < nT; t++ {
+			if used[t] {
+				continue
+			}
+			c := backing[len(cands)*w : (len(cands)+1)*w : (len(cands)+1)*w]
+			copy(c, partial)
+			c[len(partial)] = t
+			cands = append(cands, c)
+			candType = append(candType, t)
+		}
+		rcs := in.ReducedCosts(res, in.PalBatchNoCache(cands, b))
+		bestT := -1
+		bestRC = math.Inf(1)
+		for j, rc := range rcs {
+			if rc < bestRC {
+				bestRC, bestT = rc, candType[j]
+			}
+		}
+		partial = append(partial, bestT)
+		used[bestT] = true
+	}
+	return partial, bestRC, nil
+}
+
 // TestOracleEquivalenceGolden pins the incremental oracle against the
 // reference oracle end to end: on every workload the two CGGS runs must
 // emit the identical column sequence, the same loss to 1e-9 (they agree
@@ -57,7 +98,9 @@ func TestOracleEquivalenceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			polRef, _, err := CGGSWithStats(ctx, inRef, b, CGGSOptions{ReferenceOracle: true})
+			ref := NewSolveState(CGGSOptions{})
+			ref.price = greedyOrderingReference
+			polRef, err := ref.Solve(ctx, inRef, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +230,7 @@ func crossCheckGreedySteps(t *testing.T, in *game.Instance, b game.Thresholds, s
 				budget, step, out.Evaluated, out.Pruned, len(cands))
 		}
 		totalPruned += out.Pruned
-		rcs := in.ReducedCostBatchNoCache(res, ext, b)
+		rcs := in.ReducedCosts(res, in.PalBatchNoCache(ext, b))
 		wantT, wantRC := -1, math.Inf(1)
 		for j, rc := range rcs {
 			if rc < wantRC {

@@ -37,6 +37,9 @@ import (
 // access (the Auditor holds its solve lock across Solve/Refit).
 type SolveState struct {
 	opts CGGSOptions
+	// price is the greedy pricing oracle; tests point it at the batched
+	// reference oracle to pin the incremental one against it.
+	price pricer
 
 	valid       bool
 	fingerprint uint64
@@ -71,7 +74,7 @@ type WarmStats struct {
 
 // NewSolveState returns an empty state; the first Solve is cold.
 func NewSolveState(opts CGGSOptions) *SolveState {
-	return &SolveState{opts: opts}
+	return &SolveState{opts: opts, price: greedyOrderingIncremental}
 }
 
 // Stats returns the work accounting of the most recent solve.
@@ -227,7 +230,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		// already certifies that nothing prices below −Eps, which lands
 		// in the same termination arm as a non-improving column.
 		sp = tr.StartSpan("cggs.price")
-		partial, rc, err := greedyOrdering(in, res, b, opts, &oStats)
+		partial, rc, err := st.price(in, res, b, opts.Eps, &oStats)
 		sp.EndValue(int64(len(Q)))
 		if err != nil {
 			return nil, err
@@ -249,7 +252,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 				}
 			}
 			bestRC, bestO := math.Inf(1), game.Ordering(nil)
-			for j, c := range in.ReducedCostBatch(res, all, b) {
+			for j, c := range in.ReducedCosts(res, in.PalBatch(all, b)) {
 				if c < bestRC {
 					bestRC, bestO = c, all[j]
 				}
@@ -270,7 +273,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		if len(parked) > 0 {
 			st.warm.ColumnsReevaluated = len(parked)
 			psp := tr.StartSpan("cggs.parked_reprice")
-			rcs := in.ReducedCostBatch(res, parked, b)
+			rcs := in.ReducedCosts(res, in.PalBatch(parked, b))
 			psp.EndValue(int64(len(parked)))
 			keep := parked[:0]
 			pulled := false
@@ -301,7 +304,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 	// fresh numbers. Cap the carried pool so repeated refits cannot grow
 	// it without bound — worst-priced parked columns are dropped first.
 	pool := append(append([]game.Ordering(nil), Q...), parked...)
-	rc := in.ReducedCostBatch(res, pool, b)
+	rc := in.ReducedCosts(res, in.PalBatch(pool, b))
 	if maxPool := 2 * opts.MaxColumns; len(pool) > maxPool {
 		idx := make([]int, len(pool))
 		for i := range idx {

@@ -37,43 +37,6 @@ type CGGSConfig struct {
 	ExhaustiveOracle bool
 }
 
-// SolveCGGS computes the optimal randomized ordering for fixed thresholds
-// by column generation with a greedy ordering oracle.
-//
-// Deprecated: bind an Auditor with MethodCGGS instead — it carries a
-// context for cancellation and installs the result as a servable policy.
-// This wrapper runs with context.Background().
-func SolveCGGS(in *Instance, thresholds Thresholds, cfg CGGSConfig) (*MixedPolicy, error) {
-	res, err := solveDetached(AuditorConfig{
-		Instance:   in,
-		Method:     MethodCGGS,
-		Thresholds: thresholds,
-		CGGS:       cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Mixed, nil
-}
-
-// SolveExact computes the optimal randomized ordering for fixed thresholds
-// over every permutation of alert types. Exponential in the number of
-// types; refuses more than 8.
-//
-// Deprecated: bind an Auditor with MethodExact instead. This wrapper runs
-// with context.Background().
-func SolveExact(in *Instance, thresholds Thresholds) (*MixedPolicy, error) {
-	res, err := solveDetached(AuditorConfig{
-		Instance:   in,
-		Method:     MethodExact,
-		Thresholds: thresholds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Mixed, nil
-}
-
 // ISHMConfig tunes the Iterative Shrink Heuristic Method (Algorithm 2).
 type ISHMConfig struct {
 	// Epsilon is the shrink step size in (0,1); the paper recommends
@@ -93,53 +56,8 @@ type ISHMConfig struct {
 // ISHMResult is the outcome of an ISHM search.
 type ISHMResult = solver.ISHMResult
 
-// SolveISHM searches thresholds with ISHM, solving the inner ordering LP
-// by CGGS (or exactly, per cfg), and returns the best policy found along
-// with exploration accounting.
-//
-// Deprecated: bind an Auditor (MethodISHM is the default) instead. This
-// wrapper runs with context.Background().
-func SolveISHM(in *Instance, cfg ISHMConfig) (*ISHMResult, error) {
-	res, err := solveDetached(AuditorConfig{
-		Instance: in,
-		Method:   MethodISHM,
-		ISHM:     cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.ISHM, nil
-}
-
 // BruteForceResult is the exact OAP optimum plus search accounting.
 type BruteForceResult = solver.BruteForceResult
-
-// SolveBruteForce exhaustively finds the optimal threshold vector on the
-// integer grid, solving the ordering LP exactly at every point. Ground
-// truth for small games only.
-//
-// Deprecated: bind an Auditor with MethodBruteForce instead. This wrapper
-// runs with context.Background().
-func SolveBruteForce(in *Instance) (*BruteForceResult, error) {
-	res, err := solveDetached(AuditorConfig{
-		Instance: in,
-		Method:   MethodBruteForce,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.BruteForce, nil
-}
-
-// solveDetached is the shared body of the deprecated free functions: a
-// throwaway Auditor session solved once with a background context.
-func solveDetached(cfg AuditorConfig) (*SolveResult, error) {
-	a, err := NewAuditor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.SolveDetailed(context.Background())
-}
 
 // Loss evaluates the auditor's expected loss of an arbitrary mixed policy
 // against best-responding attackers.
