@@ -198,6 +198,25 @@ func BenchmarkScaledCGGS(b *testing.B) {
 	}
 }
 
+// BenchmarkNewInstance measures evaluation-instance construction at the
+// bank-drift 48-type shape (2,000 entities, a 512-row bank): realization
+// dedup and transpose plus the entity-class build, the set-up every
+// solve, refit model build and simulator model pays.
+func BenchmarkNewInstance(b *testing.B) {
+	g, _, err := workload.Scaled{Entities: 2000, AlertTypes: 48, Seed: 1, Templates: workload.DefaultTemplates()}.Build(workload.Scale{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := sample.NewBank(g.Dists(), 512, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := game.NewInstance(g, 250, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // warmBenchConfig sizes one warm-vs-cold regime of BenchmarkWarmRefit.
 type warmBenchConfig struct {
 	nT, entities, profiles, victims, bank int

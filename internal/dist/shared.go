@@ -39,7 +39,7 @@ func Shared(s Spec) (Distribution, error) {
 	if s.Kind == "empirical" {
 		return s.Build()
 	}
-	key := s.canonicalKey()
+	key := s.Key()
 	sharedTables.Lock()
 	defer sharedTables.Unlock()
 	if d, ok := sharedTables.m[key]; ok {
@@ -53,12 +53,13 @@ func Shared(s Spec) (Distribution, error) {
 	return d, nil
 }
 
-// canonicalKey encodes exactly the fields Build reads for the spec's
-// kind, so two specs that build identical distributions — e.g. a
-// gaussian with HalfWidth set and differing leftover Coverage values —
-// map to one key. Empirical specs never reach here (Shared builds them
-// directly).
-func (s Spec) canonicalKey() string {
+// Key encodes exactly the fields Build reads for the spec's kind, so
+// two specs that build identical distributions — e.g. a gaussian with
+// HalfWidth set and differing leftover Coverage values — map to one key,
+// and specs that build different ones map to different keys. Callers
+// caching built distributions key by it; Shared still never interns
+// empirical specs.
+func (s Spec) Key() string {
 	b := make([]byte, 0, 48)
 	b = append(b, s.Kind...)
 	sep := func() { b = append(b, '|') }
@@ -82,6 +83,11 @@ func (s Spec) canonicalKey() string {
 		f(s.Lambda)
 		sep()
 		f(s.Coverage)
+	case "empirical":
+		for _, c := range s.Counts {
+			sep()
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
 	case "point", "soliton":
 		sep()
 		b = strconv.AppendInt(b, int64(s.N), 10)

@@ -113,3 +113,38 @@ func BenchmarkSharedSpec(b *testing.B) {
 		}
 	})
 }
+
+// TestSpecKey pins Key's identity: fields Build ignores do not split a
+// key, and every field Build reads — empirical counts included — does.
+func TestSpecKey(t *testing.T) {
+	same := [][2]Spec{
+		{{Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 5, Coverage: 0.9}, {Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 5}},
+		{{Kind: "poisson", Lambda: 3, Coverage: 0.99, N: 7}, {Kind: "poisson", Lambda: 3, Coverage: 0.99}},
+		{{Kind: "empirical", Counts: []int{4, 6}, Mean: 1}, {Kind: "empirical", Counts: []int{4, 6}}},
+	}
+	for _, p := range same {
+		if p[0].Key() != p[1].Key() {
+			t.Errorf("%+v and %+v keyed apart: %q vs %q", p[0], p[1], p[0].Key(), p[1].Key())
+		}
+	}
+	distinct := []Spec{
+		{Kind: "gaussian", Mean: 6, Std: 2, Coverage: 0.995},
+		{Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 5},
+		{Kind: "gaussian", Mean: 6.000000000001, Std: 2, Coverage: 0.995},
+		{Kind: "poisson", Lambda: 3, Coverage: 0.99},
+		{Kind: "empirical", Counts: []int{4, 6}},
+		{Kind: "empirical", Counts: []int{46}},
+		{Kind: "empirical", Counts: []int{4, 6, 5}},
+		{Kind: "empirical"},
+		{Kind: "point", N: 4},
+		{Kind: "soliton", N: 4},
+	}
+	seen := map[string]Spec{}
+	for _, s := range distinct {
+		k := s.Key()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%+v and %+v share key %q", prev, s, k)
+		}
+		seen[k] = s
+	}
+}

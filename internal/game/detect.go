@@ -1,9 +1,10 @@
 package game
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -130,8 +131,8 @@ func NewInstance(g *Game, budget float64, src sample.Source) (*Instance, error) 
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if budget < 0 {
-		return nil, fmt.Errorf("game: negative budget %v", budget)
+	if budget < 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return nil, fmt.Errorf("game: budget %v must be finite and ≥ 0", budget)
 	}
 	if src == nil {
 		return nil, fmt.Errorf("game: nil realization source")
@@ -160,54 +161,99 @@ func NewInstance(g *Game, budget float64, src sample.Source) (*Instance, error) 
 			in.zrecipT[t*nRows+zi] = 1 / v
 		}
 	}
-	in.entityClass = make([]int, len(g.Entities))
-	classOf := make(map[string]int)
+	in.classes, in.entityClass = classify(g)
+	return in, nil
+}
+
+// classify partitions g's entities into signature classes: an entity's
+// signatures are its attacks deduplicated by sigKey (first occurrence
+// kept) and sorted by sigKey, and entities with the same sorted key list
+// share one class, weighted by their summed p_e, whose signatures are
+// its first member's. The sigKey order is the LP's row order within a
+// class, which fixes the simplex pivot path.
+//
+// Formatting every attack's floats would dominate instance construction
+// (thousands of attacks, a handful of distinct signatures), so
+// signatures are interned in two levels: an attack's exact float bits
+// map to a canonical id, and only a bit pattern seen for the first time
+// is formatted, its sigKey mapping it to the id of any earlier pattern
+// that formats alike. Ids then stand in for keys in the per-entity
+// dedup and in the class key.
+func classify(g *Game) ([]entityClass, []int) {
+	var (
+		byBits  = make(map[string]int32) // exact bits of (base, delta, probs) → id
+		byKey   = make(map[string]int32) // sigKey → id
+		keys    []string                 // id → sigKey
+		stamp   []int                    // id → 1 + the last entity holding it
+		buf     []byte
+		cur     []idSig // the current entity's deduplicated signatures
+		classes []entityClass
+		classOf = make(map[string]int)
+		of      = make([]int, len(g.Entities))
+	)
 	for e := range g.Entities {
-		var sigs []signature
-		var keys []string
-		seen := make(map[string]bool)
+		cur = cur[:0]
 		for _, a := range g.Attacks[e] {
 			sig := signature{
 				probs: a.TypeProbs,
 				base:  a.Benefit - a.Cost,
 				delta: -(a.Penalty + a.Benefit),
 			}
-			key := sigKey(sig)
-			if seen[key] {
+			buf = appendFloatBits(buf[:0], sig.base)
+			buf = appendFloatBits(buf, sig.delta)
+			for _, p := range sig.probs {
+				buf = appendFloatBits(buf, p)
+			}
+			id, ok := byBits[string(buf)]
+			if !ok {
+				key := sigKey(sig)
+				if id, ok = byKey[key]; !ok {
+					id = int32(len(keys))
+					byKey[key] = id
+					keys = append(keys, key)
+					stamp = append(stamp, 0)
+				}
+				byBits[string(buf)] = id
+			}
+			if stamp[id] == e+1 {
 				continue
 			}
-			seen[key] = true
-			sigs = append(sigs, sig)
-			keys = append(keys, key)
+			stamp[id] = e + 1
+			cur = append(cur, idSig{id: id, sig: sig})
 		}
-		sort.Sort(&sigSorter{sigs: sigs, keys: keys})
-		classKey := strings.Join(keys, ";")
-		ci, ok := classOf[classKey]
+		slices.SortFunc(cur, func(x, y idSig) int { return strings.Compare(keys[x.id], keys[y.id]) })
+		buf = buf[:0]
+		for _, s := range cur {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(s.id))
+		}
+		ci, ok := classOf[string(buf)]
 		if !ok {
-			ci = len(in.classes)
-			classOf[classKey] = ci
-			in.classes = append(in.classes, entityClass{sigs: sigs})
+			ci = len(classes)
+			classOf[string(buf)] = ci
+			var sigs []signature
+			for _, s := range cur {
+				sigs = append(sigs, s.sig)
+			}
+			classes = append(classes, entityClass{sigs: sigs})
 		}
-		in.classes[ci].weight += g.Entities[e].PAttack
-		in.entityClass[e] = ci
+		classes[ci].weight += g.Entities[e].PAttack
+		of[e] = ci
 	}
-	return in, nil
+	return classes, of
 }
 
-// sigSorter orders an entity's signatures by canonical key so identical
-// signature sets map to identical class keys regardless of victim order.
-type sigSorter struct {
-	sigs []signature
-	keys []string
+// idSig is a signature tagged with its canonical id during classify.
+type idSig struct {
+	id  int32
+	sig signature
 }
 
-func (s *sigSorter) Len() int           { return len(s.sigs) }
-func (s *sigSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *sigSorter) Swap(i, j int) {
-	s.sigs[i], s.sigs[j] = s.sigs[j], s.sigs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+func appendFloatBits(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
+// sigKey is a signature's decimal identity: signatures that format alike
+// are one LP row, and an entity's rows are ordered by it.
 func sigKey(s signature) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%.12g|%.12g|", s.base, s.delta)

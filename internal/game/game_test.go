@@ -324,6 +324,11 @@ func TestInstanceConstructorErrors(t *testing.T) {
 	if _, err := NewInstance(g, -1, src); err == nil {
 		t.Fatal("expected error for negative budget")
 	}
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewInstance(g, budget, src); err == nil {
+			t.Fatalf("expected error for budget %v", budget)
+		}
+	}
 	if _, err := NewInstance(g, 1, nil); err == nil {
 		t.Fatal("expected error for nil source")
 	}

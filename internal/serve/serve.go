@@ -616,13 +616,16 @@ func (s *Server) startRefit() string {
 		kind := auditgame.ClassifyFailure(rerr)
 		switch {
 		case rerr == nil && out.Installed:
+			// Persist before reporting done: a client that sees done
+			// and then reads the artifact, or a reload in between, must
+			// find the refit policy, not the one it replaced.
+			s.persistCurrentPolicy()
 			j.finish(jobResult{status: jobDone, policyVersion: out.PolicyVersion, expectedLoss: out.NewLoss, detail: out.Reason, outcome: out.Outcome, warm: out.Warm, stats: out.Stats, trace: out.Trace})
 			s.tel.recordRefitOutcome(out.Outcome)
 			s.tel.recordSolveWork(out.Stats, out.Warm)
 			s.log.Info("refit job installed policy", "job_id", j.id,
 				"policy_version", out.PolicyVersion, "loss", out.NewLoss,
 				"warm", out.Warm != nil && out.Warm.Warm)
-			s.persistCurrentPolicy()
 		case rerr == nil:
 			j.finish(jobResult{status: jobDone, expectedLoss: out.NewLoss, detail: out.Reason, outcome: out.Outcome, warm: out.Warm, stats: out.Stats, trace: out.Trace})
 			s.tel.recordRefitOutcome(out.Outcome)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -123,10 +122,10 @@ type Stream struct {
 // Traffic generates the benign per-period counts for every alert type.
 type Traffic struct {
 	streams []Stream
-	// built caches scaled-spec → distribution, keyed by the spec's
-	// canonical JSON: a rota alternates between two scaled models for
-	// the whole run, so the cache keeps the per-period cost at one map
-	// lookup instead of one distribution construction.
+	// built caches scaled-spec → distribution, keyed by dist.Spec.Key:
+	// a rota alternates between two scaled models for the whole run, so
+	// the cache keeps the per-period cost at one map lookup instead of
+	// one distribution construction.
 	built map[string]dist.Distribution
 }
 
@@ -184,18 +183,15 @@ func (tr *Traffic) Sample(p int, r *rand.Rand) ([]int, error) {
 
 // dist resolves a scaled spec through the local cache.
 func (tr *Traffic) dist(s dist.Spec) (dist.Distribution, error) {
-	key, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	if d, ok := tr.built[string(key)]; ok {
+	key := s.Key()
+	if d, ok := tr.built[key]; ok {
 		return d, nil
 	}
 	d, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	tr.built[string(key)] = d
+	tr.built[key] = d
 	return d, nil
 }
 

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"auditgame"
 )
@@ -59,18 +59,22 @@ func (w *World) fail(err error) {
 	}
 }
 
-// modelAt resolves period p's true model: its canonical key and the
-// shared evaluation instance.
+// modelAt resolves period p's true model: its canonical key (the
+// per-type dist.Spec keys joined by ';') and the shared evaluation
+// instance.
 func (w *World) modelAt(p int) (*auditgame.Instance, string, error) {
 	specs, err := w.traffic.SpecsAt(p)
 	if err != nil {
 		return nil, "", err
 	}
-	raw, err := json.Marshal(specs)
-	if err != nil {
-		return nil, "", err
+	var sb strings.Builder
+	for i, s := range specs {
+		if i > 0 {
+			sb.WriteByte(';')
+		}
+		sb.WriteString(s.Key())
 	}
-	key := string(raw)
+	key := sb.String()
 	if in, ok := w.trueInsts[key]; ok {
 		return in, key, nil
 	}

@@ -70,19 +70,19 @@ func RandomThresholdLoss(ctx context.Context, in *game.Instance, n int, seed int
 		target = capSum
 	}
 
+	// Uniform draws almost never sum to within 1e-9 of their maximum, so
+	// a target at Σ caps (a budget covering every cap) takes the caps
+	// themselves; !(<) also routes a NaN target here.
+	saturated := !(target < capSum-1e-9)
+
 	r := rand.New(rand.NewSource(seed))
 	var total float64
 	for i := 0; i < n; i++ {
 		b := make(game.Thresholds, len(caps))
-		for {
-			var sum float64
-			for t, c := range caps {
-				b[t] = r.Float64() * c
-				sum += b[t]
-			}
-			if sum >= target-1e-9 {
-				break
-			}
+		if saturated {
+			copy(b, caps)
+		} else if err := drawThresholds(ctx, r, caps, target, b); err != nil {
+			return 0, err
 		}
 		pol, err := inner(ctx, in, b)
 		if err != nil {
@@ -91,6 +91,24 @@ func RandomThresholdLoss(ctx context.Context, in *game.Instance, n int, seed int
 		total += pol.Objective
 	}
 	return total / float64(n), nil
+}
+
+// drawThresholds fills b with uniform draws from [0, caps[t]], redrawing
+// until they sum to at least target − 1e-9.
+func drawThresholds(ctx context.Context, r *rand.Rand, caps []float64, target float64, b game.Thresholds) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var sum float64
+		for t, c := range caps {
+			b[t] = r.Float64() * c
+			sum += b[t]
+		}
+		if sum >= target-1e-9 {
+			return nil
+		}
+	}
 }
 
 // GreedyBenefitLoss evaluates the "Audit based on benefit" baseline: a

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -404,6 +405,42 @@ func TestRandomThresholdLossDeterministicSeed(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed gave %v and %v", a, b)
+	}
+}
+
+// TestRandomThresholdLossDraws pins the baseline's draws below Σ caps,
+// and checks that a budget covering every cap plays the caps (the
+// rejection sampler could never hit their sum) and that a cancelled
+// context stops a draw that would take forever.
+func TestRandomThresholdLossDraws(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct{ budget, want float64 }{{2, 5.927807486631018}, {3, 4.875}} {
+		got, err := RandomThresholdLoss(ctx, testInstance(t, c.budget), 5, 3, ExactInner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("budget %v: loss %v, want %v", c.budget, got, c.want)
+		}
+	}
+
+	in := testInstance(t, 14) // 2 × Σ caps = 2 × (2+3+2)
+	got, err := RandomThresholdLoss(ctx, in, 20, 3, ExactInner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := ExactInner(ctx, in, game.Thresholds(in.G.ThresholdCaps()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-pol.Objective) > 1e-12 {
+		t.Fatalf("saturated budget: loss %v, want the caps' %v", got, pol.Objective)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := RandomThresholdLoss(cancelled, testInstance(t, 7-1e-6), 1, 3, ExactInner); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled draw returned %v, want context.Canceled", err)
 	}
 }
 
