@@ -481,30 +481,42 @@ func BenchmarkAblationColumnOracle(b *testing.B) {
 }
 
 // BenchmarkAblationPivotRule compares Dantzig pricing (with Bland
-// fallback) against pure Bland's rule on random dense LPs (A4).
+// fallback) against pure Bland's rule on random dense LPs (A4): min cᵀx
+// over 30 non-negative columns subject to 20 random ≤ rows and a
+// Σx ≤ 100 cap, each row given a slack and, when its rhs is negative,
+// multiplied by −1.
 func BenchmarkAblationPivotRule(b *testing.B) {
-	build := func(r *rand.Rand) *lp.Problem {
+	build := func(w *lp.Workspace, r *rand.Rand) {
 		const n, m = 30, 20
-		p := lp.NewProblem(lp.Minimize)
-		vars := make([]lp.Var, n)
+		w.Reset(m+1, n+m+1)
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVar("x", lp.NonNegative, float64(r.Intn(21)-10))
+			w.C[j] = float64(r.Intn(21) - 10)
 		}
-		for i := 0; i < m; i++ {
-			coeffs := make([]float64, n)
-			var atOnes float64
-			for j := range coeffs {
-				coeffs[j] = float64(r.Intn(9) - 4)
-				atOnes += coeffs[j]
+		for i := 0; i <= m; i++ {
+			row := w.Row(i)
+			if i < m {
+				var atOnes float64
+				for j := 0; j < n; j++ {
+					row[j] = float64(r.Intn(9) - 4)
+					atOnes += row[j]
+				}
+				w.B[i] = atOnes + float64(r.Intn(10))
+			} else {
+				for j := 0; j < n; j++ {
+					row[j] = 1
+				}
+				w.B[i] = 100
 			}
-			p.AddRow("r", vars, coeffs, lp.LE, atOnes+float64(r.Intn(10)))
+			row[n+i] = 1
+			if w.B[i] < 0 {
+				w.B[i] = -w.B[i]
+				for j := range row {
+					row[j] *= -1
+				}
+			} else {
+				w.Crash[i] = n + i
+			}
 		}
-		ones := make([]float64, n)
-		for j := range ones {
-			ones[j] = 1
-		}
-		p.AddRow("cap", vars, ones, lp.LE, 100)
-		return p
 	}
 	for _, bland := range []bool{false, true} {
 		name := "dantzig"
@@ -513,11 +525,13 @@ func BenchmarkAblationPivotRule(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(7))
+			var w lp.Workspace
 			var iters int
 			for i := 0; i < b.N; i++ {
-				sol, err := build(r).Solve(lp.Options{Bland: bland})
-				if err != nil {
-					b.Fatal(err)
+				build(&w, r)
+				sol := w.Solve(lp.Options{Bland: bland})
+				if sol.Status != lp.Optimal {
+					b.Fatalf("status %v", sol.Status)
 				}
 				iters = sol.Iterations
 			}

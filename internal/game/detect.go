@@ -110,6 +110,10 @@ type Instance struct {
 	// scratch pools trie-walk worker state across pal evaluations;
 	// see getTrieScratch (trie.go).
 	scratch sync.Pool
+	// masters pools restricted-master LP workspaces (*lp.Workspace)
+	// across solves: brute force's grid, Exact under parallel ISHM
+	// workers and every CGGS round reuse their storage.
+	masters sync.Pool
 
 	// Detection-probability engine state (engine.go): interned ordering
 	// and threshold IDs plus a sharded result cache, so concurrent

@@ -275,6 +275,22 @@ func TestSolveFixedErrors(t *testing.T) {
 	if _, err := in.SolveFixed([]Ordering{{0, 0}}, Thresholds{2, 2}); err == nil {
 		t.Fatal("expected error for non-permutation")
 	}
+
+	// SolveFixedPals: one pal vector of |T| entries per ordering. A
+	// short vector used to index past its end inside the master build.
+	Q := AllOrderings(2)
+	pals := in.PalBatch(Q, Thresholds{2, 2})
+	if _, err := in.SolveFixedPals(Q, pals); err != nil {
+		t.Fatalf("well-formed pal vectors: %v", err)
+	}
+	if _, err := in.SolveFixedPals(Q, pals[:1]); err == nil {
+		t.Fatal("expected error for fewer pal vectors than orderings")
+	}
+	for _, bad := range [][]float64{nil, {0.5}, {0.5, 0.5, 0.5}} {
+		if _, err := in.SolveFixedPals(Q, [][]float64{pals[0], bad}); err == nil {
+			t.Fatalf("expected error for a pal vector of %d entries", len(bad))
+		}
+	}
 }
 
 func TestReducedCostNonNegativeAtOptimum(t *testing.T) {

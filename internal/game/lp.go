@@ -72,8 +72,8 @@ func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis) (*
 }
 
 // SolveFixedPals solves the restricted LP with the detection
-// probabilities already in hand — one pal vector per ordering, as
-// returned by PalGrid.Pals or PalBatchNoCache. Brute force visits each
+// probabilities already in hand — one pal vector of |T| entries per
+// ordering, as returned by PalGrid.Pals or PalBatchNoCache. Brute force visits each
 // threshold vector exactly once and comes through here, so its pal
 // vectors never enter the cache; it also skips the per-call
 // permutation validation of SolveFixed (the caller enumerated the
@@ -85,7 +85,75 @@ func (in *Instance) SolveFixedPals(Q []Ordering, pals [][]float64) (*LPResult, e
 	if len(pals) != len(Q) {
 		return nil, fmt.Errorf("game: SolveFixedPals got %d pal vectors for %d orderings", len(pals), len(Q))
 	}
+	for qi, pal := range pals {
+		if len(pal) != in.nT {
+			return nil, fmt.Errorf("game: SolveFixedPals pal vector %d has %d entries, want |T| = %d", qi, len(pal), in.nT)
+		}
+	}
 	return in.solveFixedFromPals(Q, pals, nil)
+}
+
+// masterLayout places the restricted master in the standard form the
+// simplex runs on (min cᵀx, Ax = b, x ≥ 0). Columns: p_o for each
+// pooled ordering, then u_c⁺ and u_c⁻ for each class c (u_c is free),
+// then one slack per inequality row in row order. Rows: each class's
+// best-response rows in signature order, then its refrain row when the
+// game allows no attack; the simplex row Σ p_o = 1 comes last and is
+// the only equality, so inequality row r's slack is column slack+r.
+type masterLayout struct {
+	nQ    int // ordering columns [0, nQ)
+	ue    int // class c's u_c⁺ at ue+2c, u_c⁻ at ue+2c+1
+	slack int // first slack column
+	m, n  int // rows, columns
+}
+
+func (in *Instance) masterLayout(nQ int) masterLayout {
+	m := 1
+	for _, cl := range in.classes {
+		m += len(cl.sigs)
+		if in.G.AllowNoAttack {
+			m++
+		}
+	}
+	l := masterLayout{nQ: nQ, ue: nQ, slack: nQ + 2*len(in.classes), m: m}
+	l.n = l.slack + m - 1
+	return l
+}
+
+// writeMaster writes the restricted master into ws under layout l, the
+// objective scaled by 1/weightScale.
+func (in *Instance) writeMaster(ws *lp.Workspace, l masterLayout, pals [][]float64, weightScale float64) {
+	ws.Reset(l.m, l.n)
+	r := 0
+	for ci, cl := range in.classes {
+		up, un := l.ue+2*ci, l.ue+2*ci+1
+		cost := cl.weight / weightScale
+		ws.C[up], ws.C[un] = cost, -cost
+		// Best response: Σ_o p_o·Ua(o,c,s) − u_c⁺ + u_c⁻ + slack = 0,
+		// starting on its slack.
+		for _, sig := range cl.sigs {
+			row := ws.Row(r)
+			for qi, pal := range pals {
+				if v := sig.ua(pal); v != 0 {
+					row[qi] = v
+				}
+			}
+			row[up], row[un], row[l.slack+r] = -1, 1, 1
+			ws.Crash[r] = l.slack + r
+			r++
+		}
+		// Refrain: u_c⁺ − u_c⁻ − surplus = 0, starting on its artificial.
+		if in.G.AllowNoAttack {
+			row := ws.Row(r)
+			row[up], row[un], row[l.slack+r] = 1, -1, -1
+			r++
+		}
+	}
+	row := ws.Row(r)
+	for qi := 0; qi < l.nQ; qi++ {
+		row[qi] = 1
+	}
+	ws.B[r] = 1
 }
 
 func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *MasterBasis) (*LPResult, error) {
@@ -104,73 +172,52 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 		weightScale = 1
 	}
 
-	p := lp.NewProblem(lp.Minimize)
-	poVars := make([]lp.Var, len(Q))
-	for qi := range Q {
-		poVars[qi] = p.AddVar(fmt.Sprintf("po_%d", qi), lp.NonNegative, 0)
+	l := in.masterLayout(len(Q))
+	ws, _ := in.masters.Get().(*lp.Workspace)
+	if ws == nil {
+		ws = new(lp.Workspace)
 	}
-	ueVars := make([]lp.Var, len(in.classes))
-	for ci, cl := range in.classes {
-		ueVars[ci] = p.AddVar(fmt.Sprintf("u_%d", ci), lp.Free, cl.weight/weightScale)
-	}
-
-	rowCons := make([][]lp.Constr, len(in.classes))
-	for ci, cl := range in.classes {
-		rowCons[ci] = make([]lp.Constr, len(cl.sigs))
-		for s, sig := range cl.sigs {
-			c := p.AddConstr(fmt.Sprintf("br_%d_%d", ci, s), lp.LE, 0)
-			for qi := range Q {
-				c2 := sig.ua(pals[qi])
-				if c2 != 0 {
-					p.SetCoeff(c, poVars[qi], c2)
-				}
-			}
-			p.SetCoeff(c, ueVars[ci], -1)
-			rowCons[ci][s] = c
-		}
-		if in.G.AllowNoAttack {
-			c := p.AddConstr(fmt.Sprintf("refrain_%d", ci), lp.GE, 0)
-			p.SetCoeff(c, ueVars[ci], 1)
-		}
-	}
-	sumCon := p.AddConstr("simplex", lp.EQ, 1)
-	for _, v := range poVars {
-		p.SetCoeff(sumCon, v, 1)
-	}
-
-	sol, err := p.Solve(lp.Options{Warm: warm.toLP(Q, len(Q), p.NumConstrs())})
-	if err != nil {
-		return nil, err
-	}
+	in.writeMaster(ws, l, pals, weightScale)
+	sol := ws.Solve(lp.Options{Warm: warm.columns(Q, l)})
 	if sol.Status != lp.Optimal {
+		in.masters.Put(ws)
 		return nil, fmt.Errorf("game: restricted LP not optimal: %v", sol.Status)
 	}
 
+	// Copy out of the pooled workspace. A basic value can be −0 after a
+	// warm install pivots on a negative entry; the + 0 reports it as +0.
 	res := &LPResult{
 		Objective:   sol.Objective * weightScale,
 		Po:          make([]float64, len(Q)),
 		Ue:          make([]float64, len(in.G.Entities)),
 		RowDuals:    make([][]float64, len(in.classes)),
-		SimplexDual: sol.Dual[sumCon] * weightScale,
-		Basis:       masterBasisFromLP(sol.Basis, Q, len(Q), p.NumConstrs()),
+		SimplexDual: sol.Y[l.m-1] * weightScale,
+		Basis:       newMasterBasis(sol.Basis, Q, l),
 		Iterations:  sol.Iterations,
 	}
 	for qi := range Q {
-		v := sol.Value(poVars[qi])
+		v := sol.X[qi] + 0
 		if v < 0 {
 			v = 0
 		}
 		res.Po[qi] = v
 	}
 	for e := range in.G.Entities {
-		res.Ue[e] = sol.Value(ueVars[in.entityClass[e]])
+		c := in.entityClass[e]
+		res.Ue[e] = sol.X[l.ue+2*c] - sol.X[l.ue+2*c+1] + 0
 	}
-	for ci := range in.classes {
-		res.RowDuals[ci] = make([]float64, len(rowCons[ci]))
-		for s, c := range rowCons[ci] {
-			res.RowDuals[ci][s] = sol.Dual[c] * weightScale
+	r := 0
+	for ci, cl := range in.classes {
+		res.RowDuals[ci] = make([]float64, len(cl.sigs))
+		for s := range cl.sigs {
+			res.RowDuals[ci][s] = sol.Y[r] * weightScale
+			r++
+		}
+		if in.G.AllowNoAttack {
+			r++
 		}
 	}
+	in.masters.Put(ws)
 	return res, nil
 }
 

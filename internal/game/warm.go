@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-
-	"auditgame/internal/lp"
 )
 
 // StructuralFingerprint hashes everything about the instance that the
@@ -70,12 +68,11 @@ func (in *Instance) DualPricingScale(res *LPResult) float64 {
 
 // MasterBasis is the optimal basis of a restricted master LP in
 // game-logical coordinates: ordering columns are identified by their
-// content key, u_e columns by entity-class index, and slack columns by
+// content, u_c columns by entity-class index, and slack columns by
 // constraint row. That indirection is what makes the basis portable
-// across solves — the column pool grows between pricing rounds (an
-// ordering's lp.Var index shifts) and a refit rebuilds the whole LP
-// with perturbed coefficients (every index is reassigned), but an
-// ordering's key and a class's position depend only on the game's
+// across solves — the column pool grows between pricing rounds and a
+// refit rebuilds the whole LP with perturbed coefficients, but an
+// ordering's content and a class's position depend only on the game's
 // attack structure, which both transformations preserve.
 type MasterBasis struct {
 	numRows int
@@ -93,9 +90,9 @@ const (
 
 type masterBasisEntry struct {
 	kind masterBasisKind
-	key  string // ordering content key, for mbOrdering
-	idx  int    // class index (mbUe) or constraint row (mbSlack)
-	neg  bool   // negative part of the free u_e variable
+	o    Ordering // the basic ordering, for mbOrdering
+	idx  int      // class index (mbUe) or constraint row (mbSlack)
+	neg  bool     // u_c⁻ rather than u_c⁺
 }
 
 // NumRows reports the constraint-row count the basis was extracted
@@ -108,52 +105,60 @@ func (mb *MasterBasis) NumRows() int {
 	return mb.numRows
 }
 
-// toLP translates the basis into lp coordinates for a master over the
-// ordering set Q. Orderings that have left the pool (or a stale basis
-// altogether) degrade gracefully: unmappable entries become artificial
-// markers, which the LP layer drops back to its slack crash.
-func (mb *MasterBasis) toLP(Q []Ordering, numQ, numRows int) *lp.Basis {
-	if mb == nil || mb.numRows != numRows {
+// newMasterBasis reads an optimal basis (the column basic in each row
+// of a master laid out by l over the pool Q) into game-logical
+// coordinates. It keeps the basic orderings themselves: their keys are
+// formatted only if the basis is used as a warm start.
+func newMasterBasis(cols []int, Q []Ordering, l masterLayout) *MasterBasis {
+	mb := &MasterBasis{numRows: l.m, rows: make([]masterBasisEntry, len(cols))}
+	for i, j := range cols {
+		switch {
+		case j < l.nQ:
+			mb.rows[i] = masterBasisEntry{kind: mbOrdering, o: Q[j]}
+		case j < l.slack:
+			mb.rows[i] = masterBasisEntry{kind: mbUe, idx: (j - l.ue) / 2, neg: (j-l.ue)%2 == 1}
+		case j < l.n:
+			mb.rows[i] = masterBasisEntry{kind: mbSlack, idx: j - l.slack}
+		}
+	}
+	return mb
+}
+
+// columns translates the basis into warm-start columns for a master
+// over the pool Q laid out by l, in row order. A basis from a master
+// with another row count is ignored altogether; an entry whose ordering
+// has left the pool, whose class or row is out of range, or that was
+// artificial is dropped, and its row keeps its crash start.
+func (mb *MasterBasis) columns(Q []Ordering, l masterLayout) []int {
+	if mb == nil || mb.numRows != l.m {
 		return nil
 	}
+	nClasses := (l.slack - l.ue) / 2
 	at := make(map[string]int, len(Q))
 	for qi, o := range Q {
 		at[o.Key()] = qi
 	}
-	b := &lp.Basis{Rows: make([]lp.BasisEntry, len(mb.rows))}
-	for i, e := range mb.rows {
+	cols := make([]int, 0, l.m)
+	for _, e := range mb.rows {
 		switch e.kind {
 		case mbOrdering:
-			if qi, ok := at[e.key]; ok {
-				b.Rows[i] = lp.BasisEntry{Kind: lp.BasisStructural, Var: lp.Var(qi)}
+			if qi, ok := at[e.o.Key()]; ok {
+				cols = append(cols, qi)
 			}
 		case mbUe:
-			b.Rows[i] = lp.BasisEntry{Kind: lp.BasisStructural, Var: lp.Var(numQ + e.idx), Neg: e.neg}
-		case mbSlack:
-			b.Rows[i] = lp.BasisEntry{Kind: lp.BasisSlack, Row: lp.Constr(e.idx)}
-		}
-	}
-	return b
-}
-
-// masterBasisFromLP translates an optimal lp basis back into
-// game-logical coordinates.
-func masterBasisFromLP(b *lp.Basis, Q []Ordering, numQ, numRows int) *MasterBasis {
-	if b == nil {
-		return nil
-	}
-	mb := &MasterBasis{numRows: numRows, rows: make([]masterBasisEntry, len(b.Rows))}
-	for i, e := range b.Rows {
-		switch e.Kind {
-		case lp.BasisStructural:
-			if v := int(e.Var); v < numQ {
-				mb.rows[i] = masterBasisEntry{kind: mbOrdering, key: Q[v].Key()}
-			} else {
-				mb.rows[i] = masterBasisEntry{kind: mbUe, idx: v - numQ, neg: e.Neg}
+			if e.idx >= 0 && e.idx < nClasses {
+				j := l.ue + 2*e.idx
+				if e.neg {
+					j++
+				}
+				cols = append(cols, j)
 			}
-		case lp.BasisSlack:
-			mb.rows[i] = masterBasisEntry{kind: mbSlack, idx: int(e.Row)}
+		case mbSlack:
+			// The last row, Σ p_o = 1, is an equality without a slack.
+			if e.idx >= 0 && e.idx < l.m-1 {
+				cols = append(cols, l.slack+e.idx)
+			}
 		}
 	}
-	return mb
+	return cols
 }

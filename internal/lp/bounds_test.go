@@ -1,148 +1,133 @@
 package lp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
+// The LPs below have bounded variables, written in standard form by
+// hand: a finite lower bound lo as the shift x = lo + s with s ≥ 0 (the
+// constant moves to the right-hand sides and the objective), a finite
+// upper bound as the row s ≤ hi − lo, and no lower bound as a free
+// split x = x⁺ − x⁻.
+
 func TestBoundedVarBoth(t *testing.T) {
-	// max x + y with 1 ≤ x ≤ 3, 0 ≤ y ≤ 2, x + y ≤ 4 → (3,1) or (2,2),
-	// objective 4.
-	p := NewProblem(Maximize)
-	x := p.AddBoundedVar("x", 1, 3, 1)
-	y := p.AddBoundedVar("y", 0, 2, 1)
-	p.AddRow("cap", []Var{x, y}, []float64{1, 1}, LE, 4)
-	sol := solveOrFatal(t, p)
-	approx(t, "objective", sol.Objective, 4, 1e-8)
-	if sol.Value(x) < 1-1e-9 || sol.Value(x) > 3+1e-9 {
-		t.Fatalf("x = %v outside [1,3]", sol.Value(x))
+	// max x + y with 1 ≤ x ≤ 3, 0 ≤ y ≤ 2, x + y ≤ 4 → objective 4.
+	// Columns (s, y) with x = 1 + s: min −s − y − 1.
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{-1, -1},
+		rows: []row{
+			{[]float64{1, 0}, le, 2},
+			{[]float64{0, 1}, le, 2},
+			{[]float64{1, 1}, le, 3},
+		},
+	})
+	approx(t, "objective", -(sol.Objective - 1), 4, 1e-8)
+	if x := 1 + sol.x[0]; x < 1-1e-9 || x > 3+1e-9 {
+		t.Fatalf("x = %v outside [1,3]", x)
 	}
-	if sol.Value(y) < -1e-9 || sol.Value(y) > 2+1e-9 {
-		t.Fatalf("y = %v outside [0,2]", sol.Value(y))
+	if y := sol.x[1]; y < -1e-9 || y > 2+1e-9 {
+		t.Fatalf("y = %v outside [0,2]", y)
 	}
 }
 
 func TestBoundedVarLowerOnlyShift(t *testing.T) {
-	// min x with x ≥ 5 (no constraints) → 5, objective picks the shift.
-	p := NewProblem(Minimize)
-	x := p.AddBoundedVar("x", 5, math.Inf(1), 1)
-	// An extra do-nothing constraint keeps the problem non-degenerate.
-	p.AddRow("noop", []Var{x}, []float64{1}, LE, 100)
-	sol := solveOrFatal(t, p)
-	approx(t, "x", sol.Value(x), 5, 1e-8)
-	approx(t, "objective", sol.Objective, 5, 1e-8)
+	// min x with 5 ≤ x and x ≤ 100: x = 5 + s, s ≤ 95.
+	sol := solveOrFatal(t, lpCase{c: []float64{1}, rows: []row{{[]float64{1}, le, 95}}})
+	approx(t, "x", 5+sol.x[0], 5, 1e-8)
+	approx(t, "objective", sol.Objective+5, 5, 1e-8)
 }
 
 func TestBoundedVarNegativeLower(t *testing.T) {
-	// min x with −4 ≤ x ≤ −1 → −4; exercises negative shifts.
-	p := NewProblem(Minimize)
-	x := p.AddBoundedVar("x", -4, -1, 1)
-	sol := solveOrFatal(t, p)
-	approx(t, "x", sol.Value(x), -4, 1e-8)
-	approx(t, "objective", sol.Objective, -4, 1e-8)
+	// min x with −4 ≤ x ≤ −1: x = −4 + s, s ≤ 3 → −4.
+	sol := solveOrFatal(t, lpCase{c: []float64{1}, rows: []row{{[]float64{1}, le, 3}}})
+	approx(t, "x", -4+sol.x[0], -4, 1e-8)
+	approx(t, "objective", sol.Objective-4, -4, 1e-8)
 }
 
 func TestBoundedVarUpperOnly(t *testing.T) {
 	// max x with x ≤ 7 and no lower bound → 7.
-	p := NewProblem(Maximize)
-	x := p.AddBoundedVar("x", math.Inf(-1), 7, 1)
-	sol := solveOrFatal(t, p)
-	approx(t, "x", sol.Value(x), 7, 1e-8)
+	sol := solveOrFatal(t, lpCase{c: []float64{-1, 1}, rows: []row{{[]float64{1, -1}, le, 7}}})
+	approx(t, "x", sol.x[0]-sol.x[1], 7, 1e-8)
 }
 
 func TestBoundedVarUnbounded(t *testing.T) {
-	// Fully unbounded behaves like Free.
-	p := NewProblem(Minimize)
-	x := p.AddBoundedVar("x", math.Inf(-1), math.Inf(1), 1)
-	p.AddRow("lb", []Var{x}, []float64{1}, GE, -9)
-	sol := solveOrFatal(t, p)
-	approx(t, "x", sol.Value(x), -9, 1e-8)
-}
-
-func TestBoundedVarInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for lo > hi")
-		}
-	}()
-	NewProblem(Minimize).AddBoundedVar("x", 2, 1, 0)
+	// Fully unbounded x is a free split: min x s.t. x ≥ −9 → −9.
+	sol := solveOrFatal(t, lpCase{c: []float64{1, -1}, rows: []row{{[]float64{1, -1}, ge, -9}}})
+	approx(t, "x", sol.x[0]-sol.x[1], -9, 1e-8)
 }
 
 func TestBoundedVarInConstraints(t *testing.T) {
-	// Shifted variables must contribute their constant to every row:
-	// 2 ≤ x ≤ 6, y ≥ 0, x + y = 8, min x + 3y → x = 6, y = 2.
-	p := NewProblem(Minimize)
-	x := p.AddBoundedVar("x", 2, 6, 1)
-	y := p.AddVar("y", NonNegative, 3)
-	p.AddRow("sum", []Var{x, y}, []float64{1, 1}, EQ, 8)
-	sol := solveOrFatal(t, p)
-	approx(t, "x", sol.Value(x), 6, 1e-8)
-	approx(t, "y", sol.Value(y), 2, 1e-8)
-	approx(t, "objective", sol.Objective, 12, 1e-8)
+	// A shifted variable contributes its constant to every row:
+	// 2 ≤ x ≤ 6, y ≥ 0, x + y = 8, min x + 3y → x = 6, y = 2. Columns
+	// (s, y) with x = 2 + s: s ≤ 4, s + y = 6, min s + 3y + 2.
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{1, 3},
+		rows: []row{
+			{[]float64{1, 0}, le, 4},
+			{[]float64{1, 1}, eq, 6},
+		},
+	})
+	approx(t, "x", 2+sol.x[0], 6, 1e-8)
+	approx(t, "y", sol.x[1], 2, 1e-8)
+	approx(t, "objective", sol.Objective+2, 12, 1e-8)
 }
 
-// The paper's Eq. 5 writes 0 ≤ p_o ≤ 1 explicitly; with native bounds the
-// formulation can be written verbatim and must give the same answer as
-// the implicit version (Σ p_o = 1 already forces p_o ≤ 1).
+// The paper's Eq. 5 writes 0 ≤ p_o ≤ 1 explicitly; written verbatim,
+// with p_o ≤ 1 rows, the game LP must give the same answer as without
+// them (Σ p_o = 1 already forces p_o ≤ 1).
 func TestExplicitProbabilityBoundsMatchImplicit(t *testing.T) {
-	build := func(explicit bool) float64 {
-		p := NewProblem(Minimize)
-		u := p.AddVar("u", Free, 1)
-		var p1, p2 Var
+	game := func(explicit bool) float64 {
+		// Columns (u⁺, u⁻, p1, p2).
+		lc := lpCase{
+			c: []float64{1, -1, 0, 0},
+			rows: []row{
+				{[]float64{1, -1, -1, 1}, ge, 0},
+				{[]float64{1, -1, 1, -1}, ge, 0},
+				{[]float64{0, 0, 1, 1}, eq, 1},
+			},
+		}
 		if explicit {
-			p1 = p.AddBoundedVar("p1", 0, 1, 0)
-			p2 = p.AddBoundedVar("p2", 0, 1, 0)
-		} else {
-			p1 = p.AddVar("p1", NonNegative, 0)
-			p2 = p.AddVar("p2", NonNegative, 0)
+			lc.rows = append(lc.rows, row{[]float64{0, 0, 1, 0}, le, 1}, row{[]float64{0, 0, 0, 1}, le, 1})
 		}
-		p.AddRow("col1", []Var{u, p1, p2}, []float64{1, -1, 1}, GE, 0)
-		p.AddRow("col2", []Var{u, p1, p2}, []float64{1, 1, -1}, GE, 0)
-		p.AddRow("simplex", []Var{p1, p2}, []float64{1, 1}, EQ, 1)
-		sol, err := p.Solve(Options{})
-		if err != nil || sol.Status != Optimal {
-			t.Fatalf("solve failed: %v / %v", err, sol.Status)
-		}
-		return sol.Objective
+		return solveOrFatal(t, lc).Objective
 	}
-	approx(t, "explicit vs implicit", build(true), build(false), 1e-8)
+	approx(t, "explicit vs implicit", game(true), game(false), 1e-8)
 }
 
-// Property-style randomized check: bounded variables always respect their
-// bounds at the optimum.
+// Property-style randomized check: shifted, box-bounded variables
+// always respect their bounds at the optimum.
 func TestBoundedVarsRespectBoundsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
-		p := NewProblem(Minimize)
 		n := 2 + rng.Intn(3)
-		vars := make([]Var, n)
 		los := make([]float64, n)
 		his := make([]float64, n)
+		lc := lpCase{c: make([]float64, n)}
 		for j := 0; j < n; j++ {
 			los[j] = float64(rng.Intn(7) - 3)
 			his[j] = los[j] + float64(rng.Intn(5))
-			vars[j] = p.AddBoundedVar("x", los[j], his[j], float64(rng.Intn(9)-4))
+			lc.c[j] = float64(rng.Intn(9) - 4)
+			ub := make([]float64, n)
+			ub[j] = 1
+			lc.rows = append(lc.rows, row{ub, le, his[j] - los[j]})
 		}
 		// One linking row that is always satisfiable (sum within the
-		// box's range).
+		// box's range), shifted by the lower bounds.
 		var minSum, maxSum float64
 		for j := 0; j < n; j++ {
 			minSum += los[j]
 			maxSum += his[j]
 		}
 		target := minSum + (maxSum-minSum)*rng.Float64()
-		p.AddRow("link", vars, ones(n), GE, target)
+		lc.rows = append(lc.rows, row{ones(n), ge, target - minSum})
 
-		sol, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sol := lc.solve(Options{})
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, sol.Status)
 		}
 		for j := 0; j < n; j++ {
-			x := sol.Value(vars[j])
+			x := los[j] + sol.x[j]
 			if x < los[j]-1e-7 || x > his[j]+1e-7 {
 				t.Fatalf("trial %d: x[%d] = %v outside [%v,%v]", trial, j, x, los[j], his[j])
 			}

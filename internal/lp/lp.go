@@ -1,65 +1,29 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs. It exists because the audit-game pipeline (column generation in
-// particular) needs exact primal and dual solutions and the Go standard
-// library ships no optimization code.
+// Package lp is a dense two-phase primal simplex solver for linear
+// programs in computational standard form:
 //
-// The solver handles minimization and maximization, ≤ / ≥ / = constraints,
-// non-negative and free variables, and reports shadow prices (duals) for
-// every constraint. It targets the problem sizes that arise in the paper —
-// hundreds of rows and columns — where a dense tableau is both simple and
-// fast. Anti-cycling is handled by switching from Dantzig to Bland's rule
-// after a stall.
+//	minimize cᵀx  subject to  Ax = b,  x ≥ 0,  b ≥ 0.
+//
+// It exists because the audit game's restricted master (Eq. 5, solved
+// once per brute-force grid point and once per column-generation round)
+// needs exact primal and dual solutions and the Go standard library
+// ships no optimization code. The caller writes A, b and c straight into
+// a Workspace and names, for each row, a crash column — a unit column
+// with +1 in that row — or none, in which case the row starts on its
+// artificial. Problems are hundreds of rows and columns, where a dense
+// tableau is both simple and fast, and a Workspace keeps its storage
+// across solves so a caller solving thousands of small LPs allocates
+// almost nothing.
+//
+// Pricing is Dantzig's rule, switching to Bland's rule after a stall
+// window of non-improving pivots; the ratio test breaks ties
+// lexicographically. Neither is a termination proof here: the ratio
+// test skips rows whose pivot entry is below pivotTol, and columns that
+// are numerically unusable at a basis are blocked until the next pivot,
+// and both void the lexicographic argument. Termination is unproven:
+// Options.MaxIter bounds the work and reports IterationLimit.
 package lp
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// Sense is the optimization direction.
-type Sense int
-
-const (
-	// Minimize selects minimization of the objective.
-	Minimize Sense = iota
-	// Maximize selects maximization of the objective.
-	Maximize
-)
-
-// Rel is a constraint relation.
-type Rel int
-
-const (
-	// LE is a ≤ constraint.
-	LE Rel = iota
-	// GE is a ≥ constraint.
-	GE
-	// EQ is an equality constraint.
-	EQ
-)
-
-func (r Rel) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "=="
-	}
-	return fmt.Sprintf("Rel(%d)", int(r))
-}
-
-// Bound describes the domain of a variable.
-type Bound int
-
-const (
-	// NonNegative constrains a variable to x ≥ 0.
-	NonNegative Bound = iota
-	// Free leaves a variable unbounded in sign.
-	Free
-)
+import "fmt"
 
 // Status reports the outcome of a solve.
 type Status int
@@ -69,8 +33,7 @@ const (
 	Optimal Status = iota
 	// Infeasible means no feasible point exists.
 	Infeasible
-	// Unbounded means the objective is unbounded in the optimization
-	// direction.
+	// Unbounded means the objective is unbounded below.
 	Unbounded
 	// IterationLimit means the solver hit MaxIter before converging.
 	IterationLimit
@@ -90,229 +53,120 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// ErrNotSolved is returned when a solution is requested in a state where
-// none exists.
-var ErrNotSolved = errors.New("lp: problem not solved to optimality")
-
-// Var identifies a variable in a Problem.
-type Var int
-
-// Constr identifies a constraint in a Problem.
-type Constr int
-
-type variable struct {
-	name  string
-	bound Bound
-	obj   float64
-	// shift is the finite lower bound of a bounded variable: the
-	// solver works with s = x − shift ≥ 0 and reports x = shift + s.
-	shift float64
-}
-
-type constraint struct {
-	name  string
-	rel   Rel
-	rhs   float64
-	coeff map[Var]float64
-}
-
-// Problem is a linear program under construction. The zero value is not
-// usable; call NewProblem.
-type Problem struct {
-	sense Sense
-	vars  []variable
-	cons  []constraint
-}
-
-// NewProblem returns an empty problem with the given optimization sense.
-func NewProblem(sense Sense) *Problem {
-	return &Problem{sense: sense}
-}
-
-// Sense returns the optimization direction of the problem.
-func (p *Problem) Sense() Sense { return p.sense }
-
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
-// NumConstrs returns the number of constraints added so far.
-func (p *Problem) NumConstrs() int { return len(p.cons) }
-
-// AddVar adds a variable with the given name, bound and objective
-// coefficient, returning its handle.
-func (p *Problem) AddVar(name string, bound Bound, obj float64) Var {
-	p.vars = append(p.vars, variable{name: name, bound: bound, obj: obj})
-	return Var(len(p.vars) - 1)
-}
-
-// AddBoundedVar adds a variable constrained to lo ≤ x ≤ hi. Either bound
-// may be infinite (math.Inf). Internally the solver shifts the variable
-// by its finite lower bound and adds a row for a finite upper bound, so
-// the handle behaves exactly like any other Var (values are reported in
-// the original coordinates).
-func (p *Problem) AddBoundedVar(name string, lo, hi, obj float64) Var {
-	if lo > hi {
-		panic(fmt.Sprintf("lp: AddBoundedVar(%s): lo %v > hi %v", name, lo, hi))
-	}
-	var v Var
-	switch {
-	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-		v = p.AddVar(name, Free, obj)
-	case math.IsInf(lo, -1):
-		// x ≤ hi only: substitute x = hi − y with y ≥ 0. Rather than a
-		// substitution (which would touch every row), keep x free and
-		// add the upper-bound row.
-		v = p.AddVar(name, Free, obj)
-		p.AddRow(name+"_ub", []Var{v}, []float64{1}, LE, hi)
-	default:
-		// Finite lower bound: represent x = lo + s with s ≥ 0 by
-		// recording the shift; an upper bound becomes s ≤ hi − lo.
-		v = p.AddVar(name, NonNegative, obj)
-		p.vars[v].shift = lo
-		if !math.IsInf(hi, 1) {
-			p.AddRow(name+"_ub", []Var{v}, []float64{1}, LE, hi)
-		}
-	}
-	return v
-}
-
-// SetObj overwrites the objective coefficient of v.
-func (p *Problem) SetObj(v Var, obj float64) {
-	p.vars[v].obj = obj
-}
-
-// AddConstr adds an empty constraint "· rel rhs" and returns its handle.
-// Populate it with SetCoeff.
-func (p *Problem) AddConstr(name string, rel Rel, rhs float64) Constr {
-	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, coeff: make(map[Var]float64)})
-	return Constr(len(p.cons) - 1)
-}
-
-// SetCoeff sets the coefficient of variable v in constraint c. Setting a
-// coefficient twice overwrites.
-func (p *Problem) SetCoeff(c Constr, v Var, coeff float64) {
-	if int(v) < 0 || int(v) >= len(p.vars) {
-		panic(fmt.Sprintf("lp: SetCoeff: variable %d out of range [0,%d)", v, len(p.vars)))
-	}
-	p.cons[c].coeff[v] = coeff
-}
-
-// AddRow is a convenience that adds a fully-populated constraint in one
-// call: Σ coeffs[i]·vars[i] rel rhs.
-func (p *Problem) AddRow(name string, vars []Var, coeffs []float64, rel Rel, rhs float64) Constr {
-	if len(vars) != len(coeffs) {
-		panic(fmt.Sprintf("lp: AddRow: %d vars but %d coeffs", len(vars), len(coeffs)))
-	}
-	c := p.AddConstr(name, rel, rhs)
-	for i, v := range vars {
-		p.SetCoeff(c, v, coeffs[i])
-	}
-	return c
-}
-
-// BasisEntryKind says what kind of column was basic in a row at an
-// optimal solve.
-type BasisEntryKind uint8
-
-const (
-	// BasisArtificial marks a row whose artificial variable stayed basic
-	// (at zero level — a linearly dependent row). Warm starts skip it.
-	BasisArtificial BasisEntryKind = iota
-	// BasisStructural marks a user variable (Var; Neg selects the
-	// negative part of a Free variable).
-	BasisStructural
-	// BasisSlack marks the slack/surplus column of constraint Row.
-	BasisSlack
-)
-
-// BasisEntry identifies the column basic in one constraint row, in user
-// terms (variables and constraints, not internal standard-form columns),
-// so a basis survives rebuilding a structurally compatible problem.
-type BasisEntry struct {
-	Kind BasisEntryKind
-	// Var is the basic variable for BasisStructural; Neg selects the
-	// negative part of a Free variable.
-	Var Var
-	Neg bool
-	// Row is the constraint whose slack/surplus is basic, for BasisSlack.
-	Row Constr
-}
-
-// Basis is the optimal basis of a solved problem: one entry per
-// constraint row. Pass it back through Options.Warm when solving a
-// problem with the same constraints (in the same order) and a superset
-// of the variables — e.g. the next restricted master of a column
-// generation loop, or the same master under a perturbed model — to
-// start the simplex near the old optimum instead of from the slack
-// crash.
-type Basis struct {
-	Rows []BasisEntry
-}
-
-// Solution holds the result of solving a Problem.
-type Solution struct {
-	Status    Status
-	Objective float64
-	// X holds the primal value of each variable, indexed by Var.
-	X []float64
-	// Dual holds the shadow price of each constraint, indexed by Constr:
-	// the derivative of the optimal objective with respect to that
-	// constraint's right-hand side.
-	Dual []float64
-	// Basis is the optimal basis, reusable as Options.Warm on a
-	// structurally compatible re-solve. Nil on non-optimal statuses.
-	Basis *Basis
-	// Iterations is the total number of simplex pivots across both
-	// phases (including warm-start advance pivots).
-	Iterations int
-}
-
-// Value returns the primal value of v. It panics if the solution does not
-// carry primal values (non-optimal statuses).
-func (s *Solution) Value(v Var) float64 { return s.X[v] }
+// eps is the feasibility/optimality tolerance.
+const eps = 1e-9
 
 // Options tunes the solver.
 type Options struct {
-	// MaxIter caps simplex pivots per phase. Zero means a generous
-	// default derived from the problem size.
+	// MaxIter caps simplex pivots per phase. Zero means 200·(m+n+10).
 	MaxIter int
-	// Eps is the feasibility/optimality tolerance. Zero means 1e-9.
-	Eps float64
 	// Bland forces Bland's rule from the first pivot (used by the
 	// pivot-rule ablation; normally the solver starts with Dantzig and
 	// falls back on stall).
 	Bland bool
-	// Warm is an advisory starting basis from a previous Solution of a
-	// structurally compatible problem: same constraints in the same
-	// order (the row count must match or the basis is ignored), and any
-	// superset of the variables. After the usual slack-crash and phase 1,
-	// the solver advances toward this basis through ordinary ratio-test
-	// pivots before phase-2 pricing begins, so a stale or partially
-	// invalid basis can only cost pivots, never correctness: entries
-	// that don't map or admit no acceptable pivot element fall back to
-	// the slack crash for their row.
-	Warm *Basis
+	// Warm is an advisory starting basis: columns to pivot into the
+	// basis before phase 1, typically Result.Basis of an earlier solve
+	// of a related problem with its columns renumbered. Entries that
+	// are not structural columns of this problem are skipped, and a
+	// basis that turns out singular or cannot be repaired to
+	// feasibility is discarded for the cold start, so a stale basis
+	// can only cost pivots, never correctness.
+	Warm []int
 }
 
-func (o Options) withDefaults(m, n int) Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200 * (m + n + 10)
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-9
-	}
-	return o
+// Result is the outcome of Workspace.Solve. X, Y and Basis alias the
+// workspace's storage: they are valid until its next Reset.
+type Result struct {
+	Status Status
+	// Objective is cᵀx, recomputed from the basic values.
+	Objective float64
+	// X holds the n column values, Y the m row duals (the derivative
+	// of the optimal objective with respect to each bᵢ), and Basis the
+	// column basic in each row (≥ n for an artificial). All three are
+	// nil unless Status is Optimal.
+	X, Y  []float64
+	Basis []int
+	// Iterations is the total number of pivots across both phases,
+	// warm-start install and repair pivots included.
+	Iterations int
 }
 
-// Solve runs the two-phase simplex method and returns the solution.
-// The returned error is non-nil only for malformed problems; infeasibility
-// and unboundedness are reported through Solution.Status.
-func (p *Problem) Solve(opts Options) (*Solution, error) {
-	if len(p.vars) == 0 {
-		return nil, errors.New("lp: problem has no variables")
-	}
-	std := p.toStandard()
-	o := opts.withDefaults(std.m, std.n)
-	res := std.simplex(o, std.warmCols(opts.Warm))
-	return p.fromStandard(std, res), nil
+// Workspace holds one standard-form problem and the simplex working set
+// that solves it. The zero value is ready to use. Reset sizes it for a
+// problem; the caller then writes A, B, C and Crash and calls Solve.
+// Storage grows with headroom and is reused across Resets; every value
+// is re-initialised for each problem, so a reused workspace solves
+// bitwise as a fresh one does. A Workspace is not safe for concurrent
+// use.
+type Workspace struct {
+	m, n int
+
+	// A is the m×n constraint matrix, row-major; B the m right-hand
+	// sides, each ≥ 0; C the n costs. Crash[i] is the column that
+	// starts basic in row i — it must be a unit column with +1 in row
+	// i — or −1 to start the row on its artificial.
+	A     []float64
+	B     []float64
+	C     []float64
+	Crash []int
+
+	// The tableau is m×(n+m), row-major: [B⁻¹A | B⁻¹], starting at
+	// [A | I]. The artificial block is kept through phase 2 (barred
+	// from entering) because its reduced costs are the duals and its
+	// rows order the lexicographic ratio test.
+	tab     []float64
+	rhs     []float64 // current basic values
+	phase1  []float64 // n+m phase-1 costs: 1 on each artificial
+	phase2  []float64 // n+m phase-2 costs: C, then 0 on artificials
+	cbar    []float64 // n+m reduced costs
+	z       float64   // current phase objective, updated per pivot
+	basis   []int     // basis[i] = column basic in row i
+	inb     []bool    // inb[j] = column j is basic
+	blocked []bool    // columns numerically unusable at this basis
+	ties    []int     // the ratio test's tied rows
+	claimed []bool    // warmInstall: rows already holding a target
+	want    []bool    // warmInstall: target columns
+	x, y    []float64 // results
 }
+
+// grow returns s resliced to length k, reallocating with half again as
+// much headroom when its capacity is short: a column-generation master
+// gains one column per round, and exact-fit growth would reallocate
+// every round.
+func grow[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k, k+k/2)
+	}
+	return s[:k]
+}
+
+// Reset sizes the workspace for an m-row, n-column problem and clears
+// A, B and C to zero and Crash to −1.
+func (w *Workspace) Reset(m, n int) {
+	w.m, w.n = m, n
+	w.A = grow(w.A, m*n)
+	clear(w.A)
+	w.B = grow(w.B, m)
+	clear(w.B)
+	w.C = grow(w.C, n)
+	clear(w.C)
+	w.Crash = grow(w.Crash, m)
+	for i := range w.Crash {
+		w.Crash[i] = -1
+	}
+	w.tab = grow(w.tab, m*(n+m))
+	w.rhs = grow(w.rhs, m)
+	w.phase1 = grow(w.phase1, n+m)
+	w.phase2 = grow(w.phase2, n+m)
+	w.cbar = grow(w.cbar, n+m)
+	w.basis = grow(w.basis, m)
+	w.inb = grow(w.inb, n+m)
+	w.blocked = grow(w.blocked, n+m)
+	w.claimed = grow(w.claimed, m)
+	w.want = grow(w.want, n+m)
+	w.x = grow(w.x, n)
+	w.y = grow(w.y, m)
+}
+
+// Row returns row i of A, for writing.
+func (w *Workspace) Row(i int) []float64 { return w.A[i*w.n : (i+1)*w.n] }

@@ -6,12 +6,103 @@ import (
 	"testing"
 )
 
-func solveOrFatal(t *testing.T, p *Problem) *Solution {
-	t.Helper()
-	sol, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatalf("Solve error: %v", err)
+// rel is the relation of a test LP row.
+type rel int
+
+const (
+	le rel = iota
+	ge
+	eq
+)
+
+// row is one constraint of a test LP: Σ_j coef[j]·x_j rel rhs.
+type row struct {
+	coef []float64
+	rel  rel
+	rhs  float64
+}
+
+// lpCase is a test LP over non-negative columns: minimize cᵀx subject
+// to rows. Free and bounded variables are written by the test itself
+// (a free x as x⁺ − x⁻, a finite lower bound as a shift, an upper
+// bound as a ≤ row), maximization as minimization of −c.
+type lpCase struct {
+	c    []float64
+	rows []row
+}
+
+// write puts the case into w in standard form: the len(c) columns, then
+// one slack (≤) or surplus (≥) column per inequality row in row order;
+// a row with negative rhs is multiplied by −1; a row whose slack then
+// carries +1 crashes on it. It returns the rows it flipped, whose
+// duals change sign.
+func (lc lpCase) write(w *Workspace) (flipped []bool) {
+	n := len(lc.c)
+	for _, r := range lc.rows {
+		if r.rel != eq {
+			n++
+		}
 	}
+	w.Reset(len(lc.rows), n)
+	copy(w.C, lc.c)
+	flipped = make([]bool, len(lc.rows))
+	slack := len(lc.c)
+	for i, r := range lc.rows {
+		a := w.Row(i)
+		copy(a, r.coef)
+		s := -1
+		switch r.rel {
+		case le:
+			s, a[slack] = slack, 1
+			slack++
+		case ge:
+			s, a[slack] = slack, -1
+			slack++
+		}
+		w.B[i] = r.rhs
+		if r.rhs < 0 {
+			flipped[i] = true
+			w.B[i] = -r.rhs
+			for j := range a {
+				a[j] *= -1
+			}
+		}
+		if s >= 0 && a[s] == 1 {
+			w.Crash[i] = s
+		}
+	}
+	return flipped
+}
+
+// solution is a solved lpCase: the status, objective and pivots, the
+// case's column values, and the row duals in the case's own signs.
+type solution struct {
+	Result
+	x, dual []float64
+}
+
+func (lc lpCase) solve(o Options) solution {
+	var w Workspace
+	flipped := lc.write(&w)
+	r := w.Solve(o)
+	s := solution{Result: r}
+	if r.Status != Optimal {
+		return s
+	}
+	s.x = append([]float64(nil), r.X[:len(lc.c)]...)
+	s.dual = make([]float64, len(lc.rows))
+	for i, y := range r.Y {
+		if flipped[i] {
+			y = -y
+		}
+		s.dual[i] = y
+	}
+	return s
+}
+
+func solveOrFatal(t *testing.T, lc lpCase) solution {
+	t.Helper()
+	sol := lc.solve(Options{})
 	if sol.Status != Optimal {
 		t.Fatalf("Solve status = %v, want optimal", sol.Status)
 	}
@@ -25,134 +116,112 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
-// Classic production problem:
+// Classic production problem, maximized as the minimum of −c:
 //
 //	max 3x + 5y  s.t.  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18, x,y ≥ 0
 //
-// Optimum (2,6) with objective 36; duals (0, 1.5, 1).
+// Optimum (2,6) with objective 36; duals of the maximum (0, 1.5, 1),
+// so the minimum's duals are their negatives.
 func TestMaximizeKnownOptimum(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := p.AddVar("x", NonNegative, 3)
-	y := p.AddVar("y", NonNegative, 5)
-	c1 := p.AddRow("c1", []Var{x}, []float64{1}, LE, 4)
-	c2 := p.AddRow("c2", []Var{y}, []float64{2}, LE, 12)
-	c3 := p.AddRow("c3", []Var{x, y}, []float64{3, 2}, LE, 18)
-
-	sol := solveOrFatal(t, p)
-	approx(t, "objective", sol.Objective, 36, 1e-8)
-	approx(t, "x", sol.Value(x), 2, 1e-8)
-	approx(t, "y", sol.Value(y), 6, 1e-8)
-	approx(t, "dual c1", sol.Dual[c1], 0, 1e-8)
-	approx(t, "dual c2", sol.Dual[c2], 1.5, 1e-8)
-	approx(t, "dual c3", sol.Dual[c3], 1, 1e-8)
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{-3, -5},
+		rows: []row{
+			{[]float64{1, 0}, le, 4},
+			{[]float64{0, 2}, le, 12},
+			{[]float64{3, 2}, le, 18},
+		},
+	})
+	approx(t, "objective", sol.Objective, -36, 1e-8)
+	approx(t, "x", sol.x[0], 2, 1e-8)
+	approx(t, "y", sol.x[1], 6, 1e-8)
+	approx(t, "dual c1", sol.dual[0], 0, 1e-8)
+	approx(t, "dual c2", sol.dual[1], -1.5, 1e-8)
+	approx(t, "dual c3", sol.dual[2], -1, 1e-8)
 }
 
 // min x + y s.t. x + y ≥ 2, x − y = 0 → x = y = 1.
 func TestMinimizeWithGEandEQ(t *testing.T) {
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", NonNegative, 1)
-	y := p.AddVar("y", NonNegative, 1)
-	p.AddRow("cover", []Var{x, y}, []float64{1, 1}, GE, 2)
-	p.AddRow("tie", []Var{x, y}, []float64{1, -1}, EQ, 0)
-
-	sol := solveOrFatal(t, p)
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{1, 1},
+		rows: []row{
+			{[]float64{1, 1}, ge, 2},
+			{[]float64{1, -1}, eq, 0},
+		},
+	})
 	approx(t, "objective", sol.Objective, 2, 1e-8)
-	approx(t, "x", sol.Value(x), 1, 1e-8)
-	approx(t, "y", sol.Value(y), 1, 1e-8)
+	approx(t, "x", sol.x[0], 1, 1e-8)
+	approx(t, "y", sol.x[1], 1, 1e-8)
 }
 
 func TestFreeVariable(t *testing.T) {
-	// min u s.t. u ≥ 3 − x, u ≥ x − 1, x = 0 → u = 3 at x = 0.
-	p := NewProblem(Minimize)
-	u := p.AddVar("u", Free, 1)
-	x := p.AddVar("x", NonNegative, 0)
-	p.AddRow("lo", []Var{u, x}, []float64{1, 1}, GE, 3)
-	p.AddRow("hi", []Var{u, x}, []float64{1, -1}, GE, -1)
-	p.AddRow("fix", []Var{x}, []float64{1}, EQ, 0)
-
-	sol := solveOrFatal(t, p)
-	approx(t, "u", sol.Value(u), 3, 1e-8)
+	// min u s.t. u ≥ 3 − x, u ≥ x − 1, x = 0 → u = 3 at x = 0, with
+	// u = u⁺ − u⁻ over columns (u⁺, u⁻, x).
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{1, -1, 0},
+		rows: []row{
+			{[]float64{1, -1, 1}, ge, 3},
+			{[]float64{1, -1, -1}, ge, -1},
+			{[]float64{0, 0, 1}, eq, 0},
+		},
+	})
+	approx(t, "u", sol.x[0]-sol.x[1], 3, 1e-8)
 }
 
 func TestFreeVariableNegativeOptimum(t *testing.T) {
-	// min u s.t. u ≥ −5 → u = −5. Exercises the x⁺−x⁻ split.
-	p := NewProblem(Minimize)
-	u := p.AddVar("u", Free, 1)
-	p.AddRow("lb", []Var{u}, []float64{1}, GE, -5)
-	sol := solveOrFatal(t, p)
-	approx(t, "u", sol.Value(u), -5, 1e-8)
+	// min u s.t. u ≥ −5 → u = −5, reached on the negative part u⁻.
+	sol := solveOrFatal(t, lpCase{
+		c:    []float64{1, -1},
+		rows: []row{{[]float64{1, -1}, ge, -5}},
+	})
+	approx(t, "u", sol.x[0]-sol.x[1], -5, 1e-8)
 	approx(t, "objective", sol.Objective, -5, 1e-8)
 }
 
 func TestInfeasible(t *testing.T) {
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", NonNegative, 1)
-	p.AddRow("lo", []Var{x}, []float64{1}, GE, 5)
-	p.AddRow("hi", []Var{x}, []float64{1}, LE, 3)
-	sol, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := lpCase{
+		c: []float64{1},
+		rows: []row{
+			{[]float64{1}, ge, 5},
+			{[]float64{1}, le, 3},
+		},
+	}.solve(Options{})
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
 }
 
 func TestUnbounded(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := p.AddVar("x", NonNegative, 1)
-	p.AddRow("lb", []Var{x}, []float64{1}, GE, 0)
-	sol, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// max x s.t. x ≥ 0.
+	sol := lpCase{c: []float64{-1}, rows: []row{{[]float64{1}, ge, 0}}}.solve(Options{})
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}
 }
 
-func TestNoVariablesError(t *testing.T) {
-	p := NewProblem(Minimize)
-	if _, err := p.Solve(Options{}); err == nil {
-		t.Fatal("expected error for empty problem")
-	}
-}
-
 func TestDegenerateProblemTerminates(t *testing.T) {
-	// A classically degenerate LP (Beale's example structure) should
-	// still terminate thanks to the Bland fallback.
-	p := NewProblem(Minimize)
-	x1 := p.AddVar("x1", NonNegative, -0.75)
-	x2 := p.AddVar("x2", NonNegative, 150)
-	x3 := p.AddVar("x3", NonNegative, -0.02)
-	x4 := p.AddVar("x4", NonNegative, 6)
-	p.AddRow("r1", []Var{x1, x2, x3, x4}, []float64{0.25, -60, -0.04, 9}, LE, 0)
-	p.AddRow("r2", []Var{x1, x2, x3, x4}, []float64{0.5, -90, -0.02, 3}, LE, 0)
-	p.AddRow("r3", []Var{x3}, []float64{1}, LE, 1)
-
-	sol := solveOrFatal(t, p)
+	// A classically degenerate LP (Beale's example structure) must
+	// still terminate.
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{-0.75, 150, -0.02, 6},
+		rows: []row{
+			{[]float64{0.25, -60, -0.04, 9}, le, 0},
+			{[]float64{0.5, -90, -0.02, 3}, le, 0},
+			{[]float64{0, 0, 1, 0}, le, 1},
+		},
+	})
 	approx(t, "objective", sol.Objective, -0.05, 1e-8)
 }
 
 func TestBlandOptionMatchesDantzig(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem(Maximize)
-		x := p.AddVar("x", NonNegative, 2)
-		y := p.AddVar("y", NonNegative, 3)
-		z := p.AddVar("z", NonNegative, 1)
-		p.AddRow("a", []Var{x, y, z}, []float64{1, 1, 1}, LE, 10)
-		p.AddRow("b", []Var{x, y}, []float64{2, 1}, LE, 8)
-		p.AddRow("c", []Var{y, z}, []float64{1, 3}, LE, 9)
-		return p
+	lc := lpCase{
+		c: []float64{-2, -3, -1},
+		rows: []row{
+			{[]float64{1, 1, 1}, le, 10},
+			{[]float64{2, 1, 0}, le, 8},
+			{[]float64{0, 1, 3}, le, 9},
+		},
 	}
-	s1, err := build().Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := build().Solve(Options{Bland: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1, s2 := lc.solve(Options{}), lc.solve(Options{Bland: true})
 	if s1.Status != Optimal || s2.Status != Optimal {
 		t.Fatalf("statuses: %v / %v", s1.Status, s2.Status)
 	}
@@ -160,130 +229,107 @@ func TestBlandOptionMatchesDantzig(t *testing.T) {
 }
 
 func TestEqualityWithNegativeRHS(t *testing.T) {
-	// x − y = −3, minimize x + y with x,y ≥ 0 → x=0, y=3.
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", NonNegative, 1)
-	y := p.AddVar("y", NonNegative, 1)
-	eq := p.AddRow("eq", []Var{x, y}, []float64{1, -1}, EQ, -3)
-	sol := solveOrFatal(t, p)
+	// x − y = −3, minimize x + y with x,y ≥ 0 → x=0, y=3. The row is
+	// written multiplied by −1 (b ≥ 0).
+	sol := solveOrFatal(t, lpCase{
+		c:    []float64{1, 1},
+		rows: []row{{[]float64{1, -1}, eq, -3}},
+	})
 	approx(t, "objective", sol.Objective, 3, 1e-8)
-	approx(t, "x", sol.Value(x), 0, 1e-8)
-	approx(t, "y", sol.Value(y), 3, 1e-8)
+	approx(t, "x", sol.x[0], 0, 1e-8)
+	approx(t, "y", sol.x[1], 3, 1e-8)
 	// Shadow price: relaxing the rhs by +δ (towards 0) reduces y by δ,
 	// so dObj/dRHS = −1.
-	approx(t, "dual eq", sol.Dual[eq], -1, 1e-8)
+	approx(t, "dual eq", sol.dual[0], -1, 1e-8)
 }
 
 func TestRedundantConstraintHandled(t *testing.T) {
 	// Duplicate rows create linearly dependent equalities after phase 1.
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", NonNegative, 1)
-	y := p.AddVar("y", NonNegative, 2)
-	p.AddRow("r1", []Var{x, y}, []float64{1, 1}, EQ, 4)
-	p.AddRow("r2", []Var{x, y}, []float64{2, 2}, EQ, 8) // redundant
-	sol := solveOrFatal(t, p)
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{1, 2},
+		rows: []row{
+			{[]float64{1, 1}, eq, 4},
+			{[]float64{2, 2}, eq, 8}, // redundant
+		},
+	})
 	approx(t, "objective", sol.Objective, 4, 1e-8)
-	approx(t, "x", sol.Value(x), 4, 1e-8)
+	approx(t, "x", sol.x[0], 4, 1e-8)
 }
 
 func TestDualsShadowPriceNumerically(t *testing.T) {
-	// Verify Dual[i] ≈ dObjective/dRHS by finite differences on a
+	// Verify Y[i] ≈ dObjective/db_i by finite differences on a
 	// non-degenerate LP.
-	build := func(b1, b2 float64) float64 {
-		p := NewProblem(Maximize)
-		x := p.AddVar("x", NonNegative, 5)
-		y := p.AddVar("y", NonNegative, 4)
-		p.AddRow("m1", []Var{x, y}, []float64{6, 4}, LE, b1)
-		p.AddRow("m2", []Var{x, y}, []float64{1, 2}, LE, b2)
-		sol, err := p.Solve(Options{})
-		if err != nil || sol.Status != Optimal {
+	mk := func(b1, b2 float64) lpCase {
+		return lpCase{
+			c: []float64{-5, -4},
+			rows: []row{
+				{[]float64{6, 4}, le, b1},
+				{[]float64{1, 2}, le, b2},
+			},
+		}
+	}
+	obj := func(b1, b2 float64) float64 {
+		sol := mk(b1, b2).solve(Options{})
+		if sol.Status != Optimal {
 			return math.NaN()
 		}
 		return sol.Objective
 	}
-	p := NewProblem(Maximize)
-	x := p.AddVar("x", NonNegative, 5)
-	y := p.AddVar("y", NonNegative, 4)
-	c1 := p.AddRow("m1", []Var{x, y}, []float64{6, 4}, LE, 24)
-	c2 := p.AddRow("m2", []Var{x, y}, []float64{1, 2}, LE, 6)
-	sol := solveOrFatal(t, p)
-
+	sol := solveOrFatal(t, mk(24, 6))
 	const h = 1e-4
-	d1 := (build(24+h, 6) - build(24-h, 6)) / (2 * h)
-	d2 := (build(24, 6+h) - build(24, 6-h)) / (2 * h)
-	approx(t, "dual m1", sol.Dual[c1], d1, 1e-5)
-	approx(t, "dual m2", sol.Dual[c2], d2, 1e-5)
+	d1 := (obj(24+h, 6) - obj(24-h, 6)) / (2 * h)
+	d2 := (obj(24, 6+h) - obj(24, 6-h)) / (2 * h)
+	approx(t, "dual m1", sol.dual[0], d1, 1e-5)
+	approx(t, "dual m2", sol.dual[1], d2, 1e-5)
 }
 
 // Property-style randomized check: generate random LPs that are feasible
 // by construction (we plant a feasible point) and verify
 //  1. the solver never reports infeasible,
-//  2. the reported solution satisfies every constraint,
+//  2. the reported point is non-negative and within the cap,
 //  3. the reported objective matches cᵀx,
-//  4. weak duality: the dual bound never exceeds the primal objective.
+//  4. the optimum is no worse than the planted point.
 func TestRandomFeasibleLPsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(5)
 		m := 1 + rng.Intn(5)
-		p := NewProblem(Minimize)
-		vars := make([]Var, n)
-		cvec := make([]float64, n)
-		for j := 0; j < n; j++ {
-			cvec[j] = float64(rng.Intn(11) - 5)
-			vars[j] = p.AddVar("x", NonNegative, cvec[j])
+		lc := lpCase{c: make([]float64, n)}
+		for j := range lc.c {
+			lc.c[j] = float64(rng.Intn(11) - 5)
 		}
 		// Planted feasible point.
 		x0 := make([]float64, n)
 		for j := range x0 {
 			x0[j] = float64(rng.Intn(4))
 		}
-		rows := make([][]float64, m)
 		for i := 0; i < m; i++ {
-			rows[i] = make([]float64, n)
+			coef := make([]float64, n)
 			var lhs float64
-			for j := 0; j < n; j++ {
-				rows[i][j] = float64(rng.Intn(7) - 3)
-				lhs += rows[i][j] * x0[j]
+			for j := range coef {
+				coef[j] = float64(rng.Intn(7) - 3)
+				lhs += coef[j] * x0[j]
 			}
 			// Make the row satisfied at x0 with slack.
-			p.AddRow("r", vars, rows[i], LE, lhs+float64(rng.Intn(3)))
+			lc.rows = append(lc.rows, row{coef, le, lhs + float64(rng.Intn(3))})
 		}
-		// Boundedness: add Σx ≤ K so the minimum exists even with
-		// negative costs... minimization with x ≥ 0 and negative c
-		// could still be bounded by the LE rows; force it:
-		p.AddRow("cap", vars, ones(n), LE, 50)
+		// Boundedness: Σx ≤ 50.
+		lc.rows = append(lc.rows, row{ones(n), le, 50})
 
-		sol, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		sol := lc.solve(Options{})
 		if sol.Status == Infeasible {
 			t.Fatalf("trial %d: reported infeasible but x0 is feasible", trial)
 		}
 		if sol.Status != Optimal {
 			continue // unbounded is impossible with the cap, but be safe
 		}
-		// Check feasibility of the reported point.
-		for i := 0; i < m; i++ {
-			var lhs float64
-			for j := 0; j < n; j++ {
-				lhs += rows[i][j] * sol.X[j]
-			}
-			var atX0 float64
-			for j := 0; j < n; j++ {
-				atX0 += rows[i][j] * x0[j]
-			}
-			_ = atX0
-		}
-		var obj float64
-		var total float64
+		var obj, total float64
 		for j := 0; j < n; j++ {
-			if sol.X[j] < -1e-7 {
-				t.Fatalf("trial %d: negative primal x[%d]=%v", trial, j, sol.X[j])
+			if sol.x[j] < -1e-7 {
+				t.Fatalf("trial %d: negative primal x[%d]=%v", trial, j, sol.x[j])
 			}
-			obj += cvec[j] * sol.X[j]
-			total += sol.X[j]
+			obj += lc.c[j] * sol.x[j]
+			total += sol.x[j]
 		}
 		if total > 50+1e-6 {
 			t.Fatalf("trial %d: cap violated: %v", trial, total)
@@ -291,10 +337,9 @@ func TestRandomFeasibleLPsInvariants(t *testing.T) {
 		if math.Abs(obj-sol.Objective) > 1e-6 {
 			t.Fatalf("trial %d: objective mismatch: %v vs %v", trial, obj, sol.Objective)
 		}
-		// The optimum cannot exceed the planted point's value.
 		var plantedObj float64
 		for j := 0; j < n; j++ {
-			plantedObj += cvec[j] * x0[j]
+			plantedObj += lc.c[j] * x0[j]
 		}
 		if sol.Objective > plantedObj+1e-6 {
 			t.Fatalf("trial %d: optimum %v worse than feasible point %v", trial, sol.Objective, plantedObj)
@@ -310,12 +355,6 @@ func ones(n int) []float64 {
 	return v
 }
 
-func TestRelString(t *testing.T) {
-	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "==" {
-		t.Fatal("Rel.String mismatch")
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
 		Optimal: "optimal", Infeasible: "infeasible",
@@ -328,41 +367,62 @@ func TestStatusString(t *testing.T) {
 }
 
 // Zero-sum game LP: the value of matching pennies is 0 with uniform mixed
-// strategies. This mirrors exactly how the game package uses the solver.
+// strategies — the shape of the audit game's restricted master.
 func TestMatchingPenniesGameValue(t *testing.T) {
 	// Row player minimizes u s.t. u ≥ payoff of each column under mix p.
-	// Payoff matrix (row's loss): [[1,-1],[-1,1]].
-	p := NewProblem(Minimize)
-	u := p.AddVar("u", Free, 1)
-	p1 := p.AddVar("p1", NonNegative, 0)
-	p2 := p.AddVar("p2", NonNegative, 0)
-	// u ≥ 1·p1 − 1·p2  →  u − p1 + p2 ≥ 0
-	p.AddRow("col1", []Var{u, p1, p2}, []float64{1, -1, 1}, GE, 0)
-	// u ≥ −1·p1 + 1·p2
-	p.AddRow("col2", []Var{u, p1, p2}, []float64{1, 1, -1}, GE, 0)
-	p.AddRow("simplex", []Var{p1, p2}, []float64{1, 1}, EQ, 1)
-
-	sol := solveOrFatal(t, p)
+	// Payoff matrix (row's loss): [[1,-1],[-1,1]]. Columns (u⁺, u⁻, p1, p2).
+	sol := solveOrFatal(t, lpCase{
+		c: []float64{1, -1, 0, 0},
+		rows: []row{
+			{[]float64{1, -1, -1, 1}, ge, 0}, // u ≥ p1 − p2
+			{[]float64{1, -1, 1, -1}, ge, 0}, // u ≥ −p1 + p2
+			{[]float64{0, 0, 1, 1}, eq, 1},
+		},
+	})
 	approx(t, "game value", sol.Objective, 0, 1e-8)
-	approx(t, "p1", sol.Value(p1), 0.5, 1e-8)
-	approx(t, "p2", sol.Value(p2), 0.5, 1e-8)
+	approx(t, "p1", sol.x[2], 0.5, 1e-8)
+	approx(t, "p2", sol.x[3], 0.5, 1e-8)
 }
 
 func TestIterationLimitStatus(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := p.AddVar("x", NonNegative, 3)
-	y := p.AddVar("y", NonNegative, 5)
-	p.AddRow("c1", []Var{x}, []float64{1}, LE, 4)
-	p.AddRow("c2", []Var{y}, []float64{2}, LE, 12)
-	p.AddRow("c3", []Var{x, y}, []float64{3, 2}, LE, 18)
-	sol, err := p.Solve(Options{MaxIter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := lpCase{
+		c: []float64{-3, -5},
+		rows: []row{
+			{[]float64{1, 0}, le, 4},
+			{[]float64{0, 2}, le, 12},
+			{[]float64{3, 2}, le, 18},
+		},
+	}.solve(Options{MaxIter: 1})
 	if sol.Status == Optimal {
 		t.Skip("solved within one pivot; nothing to assert")
 	}
 	if sol.Status != IterationLimit {
 		t.Fatalf("status = %v, want iteration-limit", sol.Status)
+	}
+}
+
+// TestWorkspaceReuseMatchesFresh solves a large LP, a small one and the
+// large one again on one workspace: the repeat must equal a fresh
+// workspace's solve bit for bit.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	large, small := randomGame(rng, 40, 30, 0), randomGame(rng, 4, 3, 0)
+	fresh := large.solve(Options{})
+	var w Workspace
+	for _, lc := range []lpCase{large, small} {
+		lc.write(&w)
+		w.Solve(Options{})
+	}
+	large.write(&w)
+	got := w.Solve(Options{})
+	if got.Status != Optimal || got.Iterations != fresh.Iterations ||
+		math.Float64bits(got.Objective) != math.Float64bits(fresh.Objective) {
+		t.Fatalf("reused workspace: %v, %d pivots, objective %v; fresh: %v, %d, %v",
+			got.Status, got.Iterations, got.Objective, fresh.Status, fresh.Iterations, fresh.Objective)
+	}
+	for i := range fresh.Y {
+		if math.Float64bits(got.Y[i]) != math.Float64bits(fresh.Y[i]) || got.Basis[i] != fresh.Basis[i] {
+			t.Fatalf("row %d: dual %v basic %d, fresh %v %d", i, got.Y[i], got.Basis[i], fresh.Y[i], fresh.Basis[i])
+		}
 	}
 }

@@ -78,16 +78,11 @@ func TestSimplexMatchesVertexEnumeration(t *testing.T) {
 
 		want := referenceSolve2D(c, A, b)
 
-		p := NewProblem(Minimize)
-		x := p.AddVar("x", NonNegative, c[0])
-		y := p.AddVar("y", NonNegative, c[1])
+		lc := lpCase{c: c[:]}
 		for i := range A {
-			p.AddRow("r", []Var{x, y}, []float64{A[i][0], A[i][1]}, LE, b[i])
+			lc.rows = append(lc.rows, row{[]float64{A[i][0], A[i][1]}, le, b[i]})
 		}
-		sol, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		sol := lc.solve(Options{})
 		// x = y = 0 is always feasible here (b ≥ 0), so optimal is the
 		// only acceptable status.
 		if sol.Status != Optimal {

@@ -4,160 +4,136 @@ import (
 	"math"
 
 	"auditgame/internal/fault"
-	"auditgame/internal/matrix"
 )
 
-// simplexResult is the raw outcome of the two-phase method on a
-// standard-form problem.
-type simplexResult struct {
-	status Status
-	obj    float64
-	x      matrix.Vector // length n (structural columns only)
-	y      matrix.Vector // length m (equality-form duals, one per row)
-	basis  []int         // final basis, basis[i] = column basic in row i (Optimal only)
-	iters  int
-}
-
-// tableau is a full-tableau simplex working set. Columns are laid out as
-// [structural 0..n) | artificial n..n+m). Artificial columns are kept
-// through phase 2 (barred from entering the basis) because their reduced
-// costs encode the duals: for artificial j of row i with zero cost,
-// y_i = −c̄_j.
-type tableau struct {
-	m, n    int            // rows, structural columns
-	a       *matrix.Matrix // m×(n+m) current tableau body
-	b       matrix.Vector  // current rhs (basic variable values)
-	c       matrix.Vector  // length n+m: current phase objective coefficients
-	cbar    matrix.Vector  // reduced costs, length n+m
-	z       float64        // current objective value (of the phase objective)
-	basis   []int          // basis[i] = column basic in row i
-	inb     []bool         // inb[j] = column j is basic
-	ties    []int          // scratch for the ratio test's tied rows
-	blocked []bool         // columns numerically unusable at this basis
-	eps     float64
-}
-
-// newTableau builds the initial working set with the slack crash basis.
+// load initialises the tableau to [A | I] on the crash basis.
 //
-// Crash basis: a row whose slack carries a +1 coefficient is feasible
-// with that slack basic (b ≥ 0 by construction), so only equality and
-// sign-flipped rows start on artificials. The basis matrix is still
-// the identity, and the artificial columns are installed for every
-// row regardless — the dual extraction reads them. Starting
-// from slacks instead of a full artificial basis keeps phase 1 to the
-// handful of rows that genuinely need repair, which both speeds it up
-// and avoids the long degenerate pivot chains on rhs-0 rows that let
-// tableau round-off accumulate.
-func (s *standard) newTableau(o Options) *tableau {
-	t := &tableau{
-		m:     s.m,
-		n:     s.n,
-		a:     matrix.New(s.m, s.n+s.m),
-		b:     s.b.Clone(),
-		basis: make([]int, s.m),
-		inb:   make([]bool, s.n+s.m),
-		eps:   o.Eps,
-	}
-	for i := 0; i < s.m; i++ {
-		copy(t.a.Row(i)[:s.n], s.a.Row(i))
-		t.a.Set(i, s.n+i, 1) // artificial
-		if j := s.crashCol[i]; j >= 0 {
-			t.basis[i] = j
-			t.inb[j] = true
+// A row whose crash column carries a +1 coefficient is feasible with
+// that column basic (b ≥ 0), so only the remaining rows start on
+// artificials. The basis matrix is still the identity, and the
+// artificial columns are installed for every row regardless — the dual
+// extraction reads them. Starting from crash columns instead of a full
+// artificial basis keeps phase 1 to the handful of rows that genuinely
+// need repair, which both speeds it up and avoids the long degenerate
+// pivot chains on rhs-0 rows that let tableau round-off accumulate.
+func (w *Workspace) load() {
+	m, n := w.m, w.n
+	stride := n + m
+	clear(w.inb)
+	clear(w.blocked)
+	for i := 0; i < m; i++ {
+		row := w.tab[i*stride : (i+1)*stride]
+		copy(row[:n], w.A[i*n:(i+1)*n])
+		clear(row[n:])
+		row[n+i] = 1 // artificial
+		if j := w.Crash[i]; j >= 0 {
+			w.basis[i] = j
+			w.inb[j] = true
 		} else {
-			t.basis[i] = s.n + i
-			t.inb[s.n+i] = true
+			w.basis[i] = n + i
+			w.inb[n+i] = true
 		}
 	}
-	return t
+	copy(w.rhs, w.B)
 }
 
-func (s *standard) simplex(o Options, warm []int) *simplexResult {
-	t := s.newTableau(o)
-	res := &simplexResult{}
+// row returns tableau row i.
+func (w *Workspace) row(i int) []float64 {
+	stride := w.n + w.m
+	return w.tab[i*stride : (i+1)*stride]
+}
 
-	phase1 := matrix.NewVector(s.n + s.m)
-	for j := s.n; j < s.n+s.m; j++ {
-		phase1[j] = 1
+// at returns tableau entry (i, j).
+func (w *Workspace) at(i, j int) float64 { return w.tab[i*(w.n+w.m)+j] }
+
+// Solve runs the two-phase simplex method on the problem written since
+// the last Reset.
+func (w *Workspace) Solve(o Options) Result {
+	m, n := w.m, w.n
+	if o.MaxIter == 0 {
+		o.MaxIter = 200 * (m + n + 10)
+	}
+	var res Result
+	w.load()
+
+	clear(w.phase1[:n])
+	for j := n; j < n+m; j++ {
+		w.phase1[j] = 1
 	}
 
 	// Warm start: crash-install the supplied basis by direct pivots
 	// (Gaussian elimination with best-magnitude row choice), then repair
 	// any negative basic values the new data produced. Every step is a
 	// legal basis change on a consistent tableau, so on success the
-	// phases below run exactly as they would from the slack crash — just
+	// phases below run exactly as they would from the crash basis — just
 	// from a vertex near the old optimum. If the warm basis turns out
-	// singular or the repair fails, throw the tableau away and restart
-	// from the cold slack crash: a warm start may only cost time, never
-	// correctness.
-	if len(warm) > 0 {
-		t.setObjective(phase1) // pivots maintain cbar/z; install under phase-1 costs
-		it := t.warmInstall(warm)
-		rep, ok := t.warmRepair()
+	// singular or the repair fails, reload the tableau and start cold: a
+	// warm start may only cost time, never correctness.
+	if len(o.Warm) > 0 {
+		w.setObjective(w.phase1) // pivots maintain cbar/z; install under phase-1 costs
+		it := w.warmInstall(o.Warm)
+		rep, ok := w.warmRepair()
 		if ok {
-			res.iters += it + rep
+			res.Iterations += it + rep
 		} else {
-			t = s.newTableau(o)
+			w.load()
 		}
 	}
 
 	// Phase 1: minimize the sum of artificials.
-	t.setObjective(phase1)
-	st, it := t.iterate(o, true)
-	res.iters += it
+	w.setObjective(w.phase1)
+	st, it := w.iterate(o, true)
+	res.Iterations += it
 	if st == IterationLimit {
-		res.status = IterationLimit
+		res.Status = IterationLimit
 		return res
 	}
 	// Test feasibility on the recomputed artificial mass, not the
-	// incrementally updated t.z: after thousands of (mostly degenerate)
-	// pivots on large column-generation masters, t.z carries accumulated
+	// incrementally updated z: after thousands of (mostly degenerate)
+	// pivots on large column-generation masters, z carries accumulated
 	// floating-point drift that can exceed the tolerance on a feasible
 	// problem. The basic values themselves are the authoritative state.
-	if t.artificialMass() > sqrtEps(t.eps) {
-		res.status = Infeasible
+	if w.artificialMass() > math.Sqrt(eps) {
+		res.Status = Infeasible
 		return res
 	}
 	// Drive any artificials that linger in the basis at zero level out,
 	// or drop their rows if the row is redundant.
-	t.purgeArtificials()
+	w.purgeArtificials()
 
 	// Phase 2: minimize the true objective.
-	phase2 := matrix.NewVector(s.n + s.m)
-	copy(phase2[:s.n], s.c)
-	t.setObjective(phase2)
-	st, it = t.iterate(o, false)
-	res.iters += it
-	switch st {
-	case IterationLimit, Unbounded:
-		res.status = st
+	copy(w.phase2[:n], w.C)
+	clear(w.phase2[n:])
+	w.setObjective(w.phase2)
+	st, it = w.iterate(o, false)
+	res.Iterations += it
+	if st != Optimal {
+		res.Status = st
 		return res
 	}
 
-	res.status = Optimal
-	res.x = matrix.NewVector(s.n)
-	for i, bj := range t.basis {
-		if bj >= 0 && bj < s.n {
-			res.x[bj] = t.b[i]
+	res.Status = Optimal
+	clear(w.x)
+	for i, bj := range w.basis {
+		if bj < n {
+			w.x[bj] = w.rhs[i]
 		}
 	}
 	// Report the objective recomputed from the basic values, not the
-	// incrementally updated t.z — the same drift the phase-1 feasibility
+	// incrementally updated z — the same drift the phase-1 feasibility
 	// test guards against (artificial phase-2 costs are zero, so basic
 	// structural columns are the only contributors).
-	res.obj = 0
-	for i, bj := range t.basis {
-		if bj >= 0 && bj < s.n {
-			res.obj += phase2[bj] * t.b[i]
+	for i, bj := range w.basis {
+		if bj < n {
+			res.Objective += w.phase2[bj] * w.rhs[i]
 		}
 	}
 	// Duals from artificial reduced costs: c̄_{n+i} = c_{n+i} − y_i and
 	// the phase-2 cost of artificials is 0, so y_i = −c̄_{n+i}.
-	res.y = matrix.NewVector(s.m)
-	for i := 0; i < s.m; i++ {
-		res.y[i] = -t.cbar[s.n+i]
+	for i := 0; i < m; i++ {
+		w.y[i] = -w.cbar[n+i]
 	}
-	res.basis = append([]int(nil), t.basis...)
+	res.X, res.Y, res.Basis = w.x, w.y, w.basis
 	return res
 }
 
@@ -174,41 +150,41 @@ const warmInstallTol = pivotTol
 // ratio test — primal feasibility is deliberately ignored here and
 // restored by warmRepair afterwards. Rows already holding a target
 // column are claimed up front so targets never evict each other.
-// Columns that no longer exist, are already basic, or have no entry
+// Columns that do not exist, are already basic, or have no entry
 // above warmInstallTol on any unclaimed row (a singular warm basis)
 // are skipped. Returns the pivot count.
-func (t *tableau) warmInstall(desired []int) int {
-	claimed := make([]bool, t.m)
-	want := make([]bool, t.n+t.m)
+func (w *Workspace) warmInstall(desired []int) int {
+	clear(w.claimed)
+	clear(w.want)
 	for _, j := range desired {
-		if j >= 0 && j < t.n {
-			want[j] = true
+		if j >= 0 && j < w.n {
+			w.want[j] = true
 		}
 	}
-	for i, bj := range t.basis {
-		if bj >= 0 && bj < t.n && want[bj] {
-			claimed[i] = true
+	for i, bj := range w.basis {
+		if bj < w.n && w.want[bj] {
+			w.claimed[i] = true
 		}
 	}
 	pivots := 0
 	for _, j := range desired {
-		if j < 0 || j >= t.n || t.inb[j] {
+		if j < 0 || j >= w.n || w.inb[j] {
 			continue
 		}
 		best, row := warmInstallTol, -1
-		for i := 0; i < t.m; i++ {
-			if claimed[i] {
+		for i := 0; i < w.m; i++ {
+			if w.claimed[i] {
 				continue
 			}
-			if v := math.Abs(t.a.At(i, j)); v > best {
+			if v := math.Abs(w.at(i, j)); v > best {
 				best, row = v, i
 			}
 		}
 		if row < 0 {
 			continue
 		}
-		t.pivot(row, j)
-		claimed[row] = true
+		w.pivot(row, j)
+		w.claimed[row] = true
 		pivots++
 	}
 	return pivots
@@ -224,24 +200,24 @@ func (t *tableau) warmInstall(desired []int) int {
 // positive while disturbing the rest by O(|b_row|). Artificials are
 // barred (they must stay priceable for the dual extraction). Returns
 // (pivots, ok); ok=false — no eligible entering column, or no
-// convergence within the pivot budget — tells the caller to throw the
-// tableau away and restart cold.
-func (t *tableau) warmRepair() (int, bool) {
-	budget := 2*t.m + 16
+// convergence within the pivot budget — tells the caller to reload
+// the tableau and start cold.
+func (w *Workspace) warmRepair() (int, bool) {
+	budget := 2*w.m + 16
 	for k := 0; k < budget; k++ {
-		row, worst := -1, -t.eps
-		for i := 0; i < t.m; i++ {
-			if t.b[i] < worst {
-				worst, row = t.b[i], i
+		row, worst := -1, -eps
+		for i := 0; i < w.m; i++ {
+			if w.rhs[i] < worst {
+				worst, row = w.rhs[i], i
 			}
 		}
 		if row < 0 {
 			return k, true
 		}
 		best, enter := pivotTol, -1
-		r := t.a.Row(row)
-		for j := 0; j < t.n; j++ {
-			if t.inb[j] {
+		r := w.row(row)
+		for j := 0; j < w.n; j++ {
+			if w.inb[j] {
 				continue
 			}
 			if v := -r[j]; v > best {
@@ -251,20 +227,18 @@ func (t *tableau) warmRepair() (int, bool) {
 		if enter < 0 {
 			return k, false
 		}
-		t.pivot(row, enter)
+		w.pivot(row, enter)
 	}
 	return budget, false
 }
 
-func sqrtEps(eps float64) float64 { return math.Sqrt(eps) }
-
 // artificialMass sums the current values of basic artificial variables —
 // the exact phase-1 objective at the current vertex.
-func (t *tableau) artificialMass() float64 {
+func (w *Workspace) artificialMass() float64 {
 	var sum float64
-	for i, bj := range t.basis {
-		if bj >= t.n {
-			sum += t.b[i]
+	for i, bj := range w.basis {
+		if bj >= w.n {
+			sum += w.rhs[i]
 		}
 	}
 	return sum
@@ -273,30 +247,23 @@ func (t *tableau) artificialMass() float64 {
 // setObjective installs phase costs c and recomputes reduced costs and z
 // from the current basis by pricing: c̄ = c − c_Bᵀ·(tableau rows), where the
 // tableau body already equals B⁻¹A.
-func (t *tableau) setObjective(c matrix.Vector) {
-	t.c = c.Clone()
-	t.cbar = c.Clone()
-	t.z = 0
-	for i, bj := range t.basis {
-		if bj < 0 {
-			continue
-		}
-		cb := t.c[bj]
+func (w *Workspace) setObjective(c []float64) {
+	copy(w.cbar, c)
+	w.z = 0
+	for i, bj := range w.basis {
+		cb := c[bj]
 		if cb == 0 {
 			continue
 		}
-		t.z += cb * t.b[i]
-		row := t.a.Row(i)
-		for j, a := range row {
-			t.cbar[j] -= cb * a
+		w.z += cb * w.rhs[i]
+		for j, a := range w.row(i) {
+			w.cbar[j] -= cb * a
 		}
 	}
 	// Basic columns have exactly zero reduced cost by construction; snap
 	// them to kill accumulated noise.
-	for _, bj := range t.basis {
-		if bj >= 0 {
-			t.cbar[bj] = 0
-		}
+	for _, bj := range w.basis {
+		w.cbar[bj] = 0
 	}
 }
 
@@ -311,19 +278,18 @@ func (t *tableau) setObjective(c matrix.Vector) {
 const pivotTol = 1e-7
 
 // iterate runs primal simplex pivots until optimality, unboundedness, or
-// the iteration cap. phase1 bars nothing; in phase 2 artificial columns may
-// not enter. It starts with Dantzig pricing and falls back to Bland's rule
-// after stalling (no objective improvement) for a window of pivots; the
-// lexicographic ratio test in chooseLeaving is what guarantees
-// termination on degenerate problems.
-func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
+// the iteration cap. phase1 bars nothing; in phase 2 artificial columns
+// may not enter. It starts with Dantzig pricing and falls back to
+// Bland's rule after stalling (no objective improvement) for a window
+// of pivots, and chooseLeaving breaks ratio ties lexicographically.
+// Both are meant to stop cycling on degenerate masters, but neither is
+// a proof while chooseLeaving skips rows below pivotTol and columns are
+// blocked here: MaxIter is the backstop (see the package comment).
+func (w *Workspace) iterate(o Options, phase1 bool) (Status, int) {
 	bland := o.Bland
 	stall := 0
 	const stallWindow = 64
-	lastZ := t.z
-	if cap(t.blocked) < t.n+t.m {
-		t.blocked = make([]bool, t.n+t.m)
-	}
+	lastZ := w.z
 
 	for iter := 0; iter < o.MaxIter; iter++ {
 		if err := fault.Inject(fault.LPPivot); err != nil {
@@ -331,30 +297,28 @@ func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
 			// by the solver entry containment guards.
 			panic(err)
 		}
-		enter := t.chooseEntering(bland, phase1)
+		enter := w.chooseEntering(bland, phase1)
 		if enter < 0 {
 			return Optimal, iter
 		}
-		leave := t.chooseLeaving(enter)
+		leave := w.chooseLeaving(enter)
 		if leave < 0 {
 			// No eligible pivot element. If the column is non-positive
 			// the problem is genuinely unbounded along it; if it has
 			// positive entries below pivotTol, the column is numerically
 			// unusable at this basis — block it from pricing and move
 			// on rather than divide by noise.
-			if t.maxColumnEntry(enter) <= 0 {
+			if w.maxColumnEntry(enter) <= 0 {
 				return Unbounded, iter
 			}
-			t.blocked[enter] = true
+			w.blocked[enter] = true
 			continue
 		}
-		t.pivot(leave, enter)
-		for j := range t.blocked {
-			t.blocked[j] = false // new basis, new numerics
-		}
+		w.pivot(leave, enter)
+		clear(w.blocked) // new basis, new numerics
 
-		if t.z < lastZ-t.eps {
-			lastZ = t.z
+		if w.z < lastZ-eps {
+			lastZ = w.z
 			stall = 0
 			bland = o.Bland
 		} else {
@@ -369,10 +333,10 @@ func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
 
 // maxColumnEntry returns the largest coefficient of column j over all
 // rows.
-func (t *tableau) maxColumnEntry(j int) float64 {
+func (w *Workspace) maxColumnEntry(j int) float64 {
 	best := math.Inf(-1)
-	for i := 0; i < t.m; i++ {
-		if a := t.a.At(i, j); a > best {
+	for i := 0; i < w.m; i++ {
+		if a := w.at(i, j); a > best {
 			best = a
 		}
 	}
@@ -380,65 +344,65 @@ func (t *tableau) maxColumnEntry(j int) float64 {
 }
 
 // chooseEntering returns the entering column, or -1 at optimality.
-func (t *tableau) chooseEntering(bland, phase1 bool) int {
-	limit := t.n + t.m
+func (w *Workspace) chooseEntering(bland, phase1 bool) int {
+	limit := w.n + w.m
 	if !phase1 {
-		limit = t.n // artificials may not re-enter in phase 2
+		limit = w.n // artificials may not re-enter in phase 2
 	}
 	if bland {
 		for j := 0; j < limit; j++ {
-			if !t.inb[j] && !t.blocked[j] && t.cbar[j] < -t.eps {
+			if !w.inb[j] && !w.blocked[j] && w.cbar[j] < -eps {
 				return j
 			}
 		}
 		return -1
 	}
-	best, at := -t.eps, -1
+	best, at := -eps, -1
 	for j := 0; j < limit; j++ {
-		if !t.inb[j] && !t.blocked[j] && t.cbar[j] < best {
-			best, at = t.cbar[j], j
+		if !w.inb[j] && !w.blocked[j] && w.cbar[j] < best {
+			best, at = w.cbar[j], j
 		}
 	}
 	return at
 }
 
 // chooseLeaving performs the minimum ratio test on column enter,
-// resolving ties lexicographically. The lexicographic rule — among the
-// min-ratio rows pick the one whose B⁻¹ row scaled by the pivot element
-// is lexicographically smallest — makes every pivot strictly
-// lex-decrease the objective row, which rules out cycling for any
-// entering rule (Dantzig included). The basis starts at the identity,
-// so all rows begin lex-positive as the rule requires. Plain
-// smallest-index tie-breaking is not enough here: large degenerate
-// column-generation masters (hundreds of rhs-0 best-response rows)
-// cycle through zero-ratio pivots indefinitely under it. Returns the
-// pivot row, or -1 if the column is unbounded.
-func (t *tableau) chooseLeaving(enter int) int {
+// resolving ties lexicographically: among the min-ratio rows it picks
+// the one whose B⁻¹ row scaled by the pivot element is lexicographically
+// smallest. With every row eligible, that makes each pivot strictly
+// lex-decrease the objective row and rules out cycling for any entering
+// rule; rows skipped below pivotTol break that argument (see iterate).
+// The basis starts at the identity, so all rows begin lex-positive as
+// the rule requires. Plain smallest-index tie-breaking is not enough
+// here: large degenerate column-generation masters (hundreds of rhs-0
+// best-response rows) cycle through zero-ratio pivots indefinitely
+// under it. Returns the pivot row, or -1 if no row is eligible.
+func (w *Workspace) chooseLeaving(enter int) int {
 	bestRatio := math.Inf(1)
-	t.ties = t.ties[:0]
-	for i := 0; i < t.m; i++ {
-		aie := t.a.At(i, enter)
+	w.ties = w.ties[:0]
+	for i := 0; i < w.m; i++ {
+		aie := w.at(i, enter)
 		if aie <= pivotTol {
 			continue
 		}
-		ratio := t.b[i] / aie
+		ratio := w.rhs[i] / aie
 		switch {
-		case ratio < bestRatio-t.eps:
+		case ratio < bestRatio-eps:
 			bestRatio = ratio
-			t.ties = append(t.ties[:0], i)
-		case ratio < bestRatio+t.eps:
-			t.ties = append(t.ties, i)
+			w.ties = append(w.ties[:0], i)
+		case ratio < bestRatio+eps:
+			w.ties = append(w.ties, i)
 			if ratio < bestRatio {
 				bestRatio = ratio
 			}
 		}
 	}
-	if len(t.ties) == 0 {
+	if len(w.ties) == 0 {
 		return -1
 	}
-	row := t.ties[0]
-	for _, i := range t.ties[1:] {
-		if t.lexLess(i, row, enter) {
+	row := w.ties[0]
+	for _, i := range w.ties[1:] {
+		if w.lexLess(i, row, enter) {
 			row = i
 		}
 	}
@@ -451,12 +415,13 @@ func (t *tableau) chooseLeaving(enter int) int {
 // entering column. Comparisons are exact — the order only needs to be
 // total and consistent, and noise-level differences still break the
 // degenerate ties that cause cycling.
-func (t *tableau) lexLess(i, r, enter int) bool {
-	si := 1 / t.a.At(i, enter)
-	sr := 1 / t.a.At(r, enter)
-	for j := t.n; j < t.n+t.m; j++ {
-		vi := t.a.At(i, j) * si
-		vr := t.a.At(r, j) * sr
+func (w *Workspace) lexLess(i, r, enter int) bool {
+	ri, rr := w.row(i), w.row(r)
+	si := 1 / ri[enter]
+	sr := 1 / rr[enter]
+	for j := w.n; j < w.n+w.m; j++ {
+		vi := ri[j] * si
+		vr := rr[j] * sr
 		if vi != vr {
 			return vi < vr
 		}
@@ -465,50 +430,46 @@ func (t *tableau) lexLess(i, r, enter int) bool {
 }
 
 // pivot makes column enter basic in row r.
-func (t *tableau) pivot(r, enter int) {
-	piv := t.a.At(r, enter)
-	rowR := t.a.Row(r)
-	inv := 1 / piv
+func (w *Workspace) pivot(r, enter int) {
+	rowR := w.row(r)
+	inv := 1 / rowR[enter]
 	for j := range rowR {
 		rowR[j] *= inv
 	}
-	t.b[r] *= inv
+	w.rhs[r] *= inv
 	rowR[enter] = 1 // exact
 
-	for i := 0; i < t.m; i++ {
+	for i := 0; i < w.m; i++ {
 		if i == r {
 			continue
 		}
-		f := t.a.At(i, enter)
+		rowI := w.row(i)
+		f := rowI[enter]
 		if f == 0 {
 			continue
 		}
-		rowI := t.a.Row(i)
 		for j := range rowI {
 			rowI[j] -= f * rowR[j]
 		}
 		rowI[enter] = 0 // exact
-		t.b[i] -= f * t.b[r]
-		if t.b[i] < 0 && t.b[i] > -t.eps {
-			t.b[i] = 0
+		w.rhs[i] -= f * w.rhs[r]
+		if w.rhs[i] < 0 && w.rhs[i] > -eps {
+			w.rhs[i] = 0
 		}
 	}
 
-	f := t.cbar[enter]
+	f := w.cbar[enter]
 	if f != 0 {
-		for j := range t.cbar {
-			t.cbar[j] -= f * rowR[j]
+		for j := range w.cbar {
+			w.cbar[j] -= f * rowR[j]
 		}
-		t.cbar[enter] = 0
-		t.z += f * t.b[r]
+		w.cbar[enter] = 0
+		w.z += f * w.rhs[r]
 	}
 
-	old := t.basis[r]
-	if old >= 0 {
-		t.inb[old] = false
-	}
-	t.basis[r] = enter
-	t.inb[enter] = true
+	w.inb[w.basis[r]] = false
+	w.basis[r] = enter
+	w.inb[enter] = true
 }
 
 // purgeArtificials removes artificial variables that remain basic at zero
@@ -516,17 +477,17 @@ func (t *tableau) pivot(r, enter int) {
 // entry in that row. Rows with no such column are linearly dependent and
 // are neutralized (the artificial stays basic at 0; it can never leave and
 // never affects phase 2 because its row is all-zero on structural columns).
-func (t *tableau) purgeArtificials() {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.n {
+func (w *Workspace) purgeArtificials() {
+	for i := 0; i < w.m; i++ {
+		if w.basis[i] < w.n {
 			continue
 		}
-		for j := 0; j < t.n; j++ {
-			if t.inb[j] {
+		for j := 0; j < w.n; j++ {
+			if w.inb[j] {
 				continue
 			}
-			if math.Abs(t.a.At(i, j)) > sqrtEps(t.eps) {
-				t.pivot(i, j)
+			if math.Abs(w.at(i, j)) > math.Sqrt(eps) {
+				w.pivot(i, j)
 				break
 			}
 		}

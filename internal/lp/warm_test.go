@@ -6,66 +6,52 @@ import (
 	"testing"
 )
 
-// randomDenseLP builds the LP of a random zero-sum matrix game — the
-// exact shape of the column-generation restricted master: maximize v
-// subject to v − Σ_k a_{sk}·p_k ≤ 0 for every scenario s, Σ_k p_k = 1,
-// p ≥ 0, v free. Phase 1 is a single pivot (only the probability row
-// needs an artificial) and phase 2 does the real work, which is where
-// warm starts matter.
-func randomDenseLP(t *testing.T, rng *rand.Rand, nStrats, nRows int, perturb float64) *Problem {
-	t.Helper()
-	p := NewProblem(Maximize)
-	v := p.AddVar("v", Free, 1)
-	strats := make([]Var, nStrats)
-	for i := range strats {
-		strats[i] = p.AddVar("p", NonNegative, 0)
-	}
+// randomGame is the LP of a random zero-sum matrix game — the shape of
+// the column-generation restricted master: maximize v subject to
+// v − Σ_k a_{sk}·p_k ≤ 0 for every scenario s, Σ_k p_k = 1, p ≥ 0, v
+// free; written as the minimum of −v over columns (v⁺, v⁻, p…). Phase 1
+// is a single pivot (only the probability row needs an artificial) and
+// phase 2 does the real work, which is where warm starts matter.
+func randomGame(rng *rand.Rand, nStrats, nRows int, perturb float64) lpCase {
+	n := 2 + nStrats
+	lc := lpCase{c: make([]float64, n)}
+	lc.c[0], lc.c[1] = -1, 1
 	for r := 0; r < nRows; r++ {
-		c := p.AddConstr("scenario", LE, 0)
-		p.SetCoeff(c, v, 1)
-		for i, s := range strats {
-			a := rng.Float64() + perturb*rng.NormFloat64()
-			_ = i
-			p.SetCoeff(c, s, -a)
+		coef := make([]float64, n)
+		coef[0], coef[1] = 1, -1
+		for k := 2; k < n; k++ {
+			coef[k] = -(rng.Float64() + perturb*rng.NormFloat64())
 		}
+		lc.rows = append(lc.rows, row{coef, le, 0})
 	}
-	sum := p.AddConstr("prob", EQ, 1)
-	for _, s := range strats {
-		p.SetCoeff(sum, s, 1)
-	}
-	return p
+	sum := ones(n)
+	sum[0], sum[1] = 0, 0
+	lc.rows = append(lc.rows, row{sum, eq, 1})
+	return lc
 }
 
+// basisOf copies a solve's basis out of its workspace.
+func basisOf(s solution) []int { return append([]int(nil), s.Basis...) }
+
 func TestWarmSameProblemMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomDenseLP(t, rng, 20, 12, 0)
-	cold, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lc := randomGame(rand.New(rand.NewSource(7)), 20, 12, 0)
+	cold := lc.solve(Options{})
 	if cold.Status != Optimal {
 		t.Fatalf("cold status = %v", cold.Status)
 	}
-	if cold.Basis == nil || len(cold.Basis.Rows) != p.NumConstrs() {
-		t.Fatalf("cold basis missing or wrong size: %+v", cold.Basis)
+	if len(cold.Basis) != len(lc.rows) {
+		t.Fatalf("cold basis has %d entries for %d rows", len(cold.Basis), len(lc.rows))
 	}
-
-	// Rebuild the identical problem and warm start from the cold basis.
-	rng = rand.New(rand.NewSource(7))
-	q := randomDenseLP(t, rng, 20, 12, 0)
-	warm, err := q.Solve(Options{Warm: cold.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := lc.solve(Options{Warm: basisOf(cold)})
 	if warm.Status != Optimal {
 		t.Fatalf("warm status = %v", warm.Status)
 	}
 	if d := math.Abs(warm.Objective - cold.Objective); d > 1e-9 {
 		t.Fatalf("warm objective %.12f != cold %.12f (|Δ|=%g)", warm.Objective, cold.Objective, d)
 	}
-	for i := range warm.X {
-		if d := math.Abs(warm.X[i] - cold.X[i]); d > 1e-8 {
-			t.Fatalf("x[%d]: warm %.12f != cold %.12f", i, warm.X[i], cold.X[i])
+	for i := range warm.x {
+		if d := math.Abs(warm.x[i] - cold.x[i]); d > 1e-8 {
+			t.Fatalf("x[%d]: warm %.12f != cold %.12f", i, warm.x[i], cold.x[i])
 		}
 	}
 }
@@ -75,30 +61,15 @@ func TestWarmPerturbedProblemMatchesColdAndSavesPivots(t *testing.T) {
 	savedSomewhere := false
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(100 + trial)
-		rng := rand.New(rand.NewSource(seed))
-		base := randomDenseLP(t, rng, 30, 20, 0)
-		sol0, err := base.Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sol0 := randomGame(rand.New(rand.NewSource(seed)), 30, 20, 0).solve(Options{})
 		if sol0.Status != Optimal {
 			t.Fatalf("base status = %v", sol0.Status)
 		}
-
 		// Perturbed instance: same structure, slightly moved coefficients
 		// — the shape of a refit master.
-		mk := func() *Problem {
-			r := rand.New(rand.NewSource(seed))
-			return randomDenseLP(t, r, 30, 20, 0.01)
-		}
-		cold, err := mk().Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := mk().Solve(Options{Warm: sol0.Basis})
-		if err != nil {
-			t.Fatal(err)
-		}
+		perturbed := randomGame(rand.New(rand.NewSource(seed)), 30, 20, 0.01)
+		cold := perturbed.solve(Options{})
+		warm := perturbed.solve(Options{Warm: basisOf(sol0)})
 		if cold.Status != Optimal || warm.Status != Optimal {
 			t.Fatalf("statuses: cold %v warm %v", cold.Status, warm.Status)
 		}
@@ -115,78 +86,56 @@ func TestWarmPerturbedProblemMatchesColdAndSavesPivots(t *testing.T) {
 }
 
 func TestWarmIgnoresIncompatibleBasis(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := randomDenseLP(t, rng, 10, 6, 0)
-	cold, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
+	lc := randomGame(rand.New(rand.NewSource(9)), 10, 6, 0)
+	cold := lc.solve(Options{})
+	if cold.Status != Optimal {
+		t.Fatalf("cold status = %v", cold.Status)
 	}
-
-	// Wrong row count: basis must be ignored, solve still optimal.
-	bad := &Basis{Rows: make([]BasisEntry, 3)}
-	rng = rand.New(rand.NewSource(9))
-	q := randomDenseLP(t, rng, 10, 6, 0)
-	sol, err := q.Solve(Options{Warm: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("wrong-size warm basis changed the answer: %v obj %.12f vs %.12f", sol.Status, sol.Objective, cold.Objective)
-	}
-
-	// Garbage entries (out-of-range vars, artificials): dropped per entry.
-	ugly := &Basis{Rows: make([]BasisEntry, p.NumConstrs())}
-	for i := range ugly.Rows {
-		switch i % 3 {
-		case 0:
-			ugly.Rows[i] = BasisEntry{Kind: BasisStructural, Var: Var(999)}
-		case 1:
-			ugly.Rows[i] = BasisEntry{Kind: BasisArtificial}
-		default:
-			ugly.Rows[i] = BasisEntry{Kind: BasisSlack, Row: Constr(i)}
+	n := len(lc.c) + len(lc.rows) - 1 // structural + slack columns
+	for name, warm := range map[string][]int{
+		// A basis for a smaller problem: installs what it names.
+		"short": {0, 3, 5},
+		// Garbage: out of range, negative, artificials, repeats.
+		"garbage": {999, -1, n, n + 3, 2, 2, n + len(lc.rows) + 7},
+	} {
+		sol := lc.solve(Options{Warm: warm})
+		if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
+			t.Fatalf("%s warm basis changed the answer: %v obj %.12f vs %.12f", name, sol.Status, sol.Objective, cold.Objective)
 		}
-	}
-	rng = rand.New(rand.NewSource(9))
-	q = randomDenseLP(t, rng, 10, 6, 0)
-	sol, err = q.Solve(Options{Warm: ugly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("garbage warm basis changed the answer: %v obj %.12f vs %.12f", sol.Status, sol.Objective, cold.Objective)
 	}
 }
 
 func TestWarmWithAddedVariables(t *testing.T) {
-	// Column generation shape: solve, add variables, warm start the
-	// grown problem with the old basis.
-	build := func(extra int) *Problem {
-		p := NewProblem(Minimize)
-		x := p.AddVar("x", NonNegative, 1)
-		y := p.AddVar("y", NonNegative, 2)
-		p.AddRow("cover", []Var{x, y}, []float64{1, 1}, GE, 4)
-		p.AddRow("cap", []Var{x}, []float64{1}, LE, 3)
-		for i := 0; i < extra; i++ {
-			v := p.AddVar("z", NonNegative, 0.5)
-			p.SetCoeff(Constr(0), v, 1.5)
+	// Column generation shape: solve, add columns, warm start the grown
+	// problem with the old basis renumbered (the slacks move right).
+	build := func(extra int) lpCase {
+		lc := lpCase{
+			c: []float64{1, 2},
+			rows: []row{
+				{[]float64{1, 1}, ge, 4},
+				{[]float64{1, 0}, le, 3},
+			},
 		}
-		return p
+		for i := 0; i < extra; i++ {
+			lc.c = append(lc.c, 0.5)
+			lc.rows[0].coef = append(lc.rows[0].coef, 1.5)
+			lc.rows[1].coef = append(lc.rows[1].coef, 0)
+		}
+		return lc
 	}
-	small, err := build(0).Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := build(0).solve(Options{})
 	if small.Status != Optimal {
 		t.Fatalf("small status = %v", small.Status)
 	}
-	grownCold, err := build(3).Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
+	grown := build(3)
+	warm := basisOf(small)
+	for i, j := range warm {
+		if j >= 2 {
+			warm[i] = j + 3
+		}
 	}
-	grownWarm, err := build(3).Solve(Options{Warm: small.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grownCold := grown.solve(Options{})
+	grownWarm := grown.solve(Options{Warm: warm})
 	if grownWarm.Status != Optimal {
 		t.Fatalf("grown warm status = %v", grownWarm.Status)
 	}
@@ -198,24 +147,15 @@ func TestWarmWithAddedVariables(t *testing.T) {
 func TestWarmBasisRoundTripsDuals(t *testing.T) {
 	// Warm solves must leave duals intact — column generation prices
 	// off them.
-	rng := rand.New(rand.NewSource(21))
-	p := randomDenseLP(t, rng, 15, 10, 0)
-	cold, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng = rand.New(rand.NewSource(21))
-	q := randomDenseLP(t, rng, 15, 10, 0)
-	warm, err := q.Solve(Options{Warm: cold.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Dual) != len(cold.Dual) {
+	lc := randomGame(rand.New(rand.NewSource(21)), 15, 10, 0)
+	cold := lc.solve(Options{})
+	warm := lc.solve(Options{Warm: basisOf(cold)})
+	if len(warm.dual) != len(cold.dual) {
 		t.Fatalf("dual lengths differ")
 	}
-	for i := range warm.Dual {
-		if d := math.Abs(warm.Dual[i] - cold.Dual[i]); d > 1e-7 {
-			t.Fatalf("dual[%d]: warm %.12f vs cold %.12f", i, warm.Dual[i], cold.Dual[i])
+	for i := range warm.dual {
+		if d := math.Abs(warm.dual[i] - cold.dual[i]); d > 1e-7 {
+			t.Fatalf("dual[%d]: warm %.12f vs cold %.12f", i, warm.dual[i], cold.dual[i])
 		}
 	}
 }
