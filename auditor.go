@@ -110,8 +110,8 @@ type SolveResult struct {
 	BruteForce *BruteForceResult
 	// Warm carries the warm-start accounting for MethodCGGS solves —
 	// whether the solve reused the session's persisted column pool and
-	// basis, and how much re-pricing the drift screen saved. Nil for
-	// other methods.
+	// basis, how many columns seeded the first master, and the
+	// pricing-round count. Nil for other methods.
 	Warm *WarmStats
 	// Stats is the cumulative work accounting of the session's
 	// column-generation state for MethodCGGS solves — columns generated,
@@ -123,10 +123,9 @@ type SolveResult struct {
 	// installed as. Read it from here rather than Auditor.PolicyVersion,
 	// which may already reflect a later reload.
 	PolicyVersion uint64
-	// Trace is the solve's span timeline — pricing rounds, LP pivots,
-	// warm-start screening — recorded by the solver stack. Always set by
-	// SolveDetailed; the serve layer forwards it through the solve-job
-	// DTO.
+	// Trace is the solve's span timeline — pricing rounds and LP
+	// pivots — recorded by the solver stack. Always set by SolveDetailed;
+	// the serve layer forwards it through the solve-job DTO.
 	Trace *SolveTrace
 }
 
@@ -150,12 +149,12 @@ type Auditor struct {
 	budget float64
 
 	// solveState persists the column-generation solve state — column
-	// pool, restricted-master basis, cached reduced costs — across
-	// Solve/Refit when the session runs MethodCGGS. Solve replaces it
-	// cold; Refit warm-starts from it when the refit instance is
-	// structurally compatible (same budget, type set, entity classes,
-	// thresholds) and falls back to a cold solve inside SolveState
-	// otherwise. Guarded by mu like every other solve-path field.
+	// pool and restricted-master basis — across Solve/Refit when the
+	// session runs MethodCGGS. Solve replaces it cold; Refit warm-starts
+	// from it when the refit instance is structurally compatible (same
+	// budget, type set, entity classes, thresholds) and falls back to a
+	// cold solve inside SolveState otherwise. Guarded by mu like every
+	// other solve-path field.
 	solveState *solver.SolveState
 
 	// built re-publishes the game pointer once constructed, so readers
@@ -339,9 +338,9 @@ func (a *Auditor) Solve(ctx context.Context) (*Policy, error) {
 }
 
 // SolveDetailed is Solve with the method-specific search accounting.
-// Every solve records a span trace (pricing rounds, master pivots,
-// warm-start screening) unless the caller already attached one to ctx;
-// the trace rides SolveResult.Trace into the serve layer's job DTO.
+// Every solve records a span trace (pricing rounds, master pivots)
+// unless the caller already attached one to ctx; the trace rides
+// SolveResult.Trace into the serve layer's job DTO.
 func (a *Auditor) SolveDetailed(ctx context.Context) (*SolveResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -359,7 +358,7 @@ func (a *Auditor) SolveDetailed(ctx context.Context) (*SolveResult, error) {
 		tr = telemetry.NewTrace()
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
-	res, err := a.solveOn(ctx, a.in, thresholds, nil, false)
+	res, err := a.solveOn(ctx, a.in, thresholds, false)
 	if err != nil {
 		return nil, err
 	}
@@ -378,13 +377,10 @@ func (a *Auditor) SolveDetailed(ctx context.Context) (*SolveResult, error) {
 // hold a.mu.
 //
 // warm asks MethodCGGS to re-solve from the session's persisted
-// SolveState instead of cold; tv optionally carries the drift detector's
-// per-type total-variation distances between the state's model and in's,
-// which screens how much of the column pool must be re-priced up front
-// (nil reuses the pool unscreened). Both are ignored by the other
-// methods, and SolveState itself falls back to a cold solve when the
-// instance is structurally incompatible with the persisted state.
-func (a *Auditor) solveOn(ctx context.Context, in *Instance, thresholds Thresholds, tv []float64, warm bool) (*SolveResult, error) {
+// SolveState instead of cold. The other methods ignore it, and
+// SolveState itself falls back to a cold solve when the instance is
+// structurally incompatible with the persisted state.
+func (a *Auditor) solveOn(ctx context.Context, in *Instance, thresholds Thresholds, warm bool) (*SolveResult, error) {
 	res := &SolveResult{}
 	switch a.cfg.Method {
 	case "", MethodISHM:
@@ -420,7 +416,7 @@ func (a *Auditor) solveOn(ctx context.Context, in *Instance, thresholds Threshol
 		var m *MixedPolicy
 		var err error
 		if warm {
-			m, err = a.solveState.Refit(ctx, in, thresholds, tv)
+			m, err = a.solveState.Refit(ctx, in, thresholds, nil)
 		} else {
 			m, err = a.solveState.Solve(ctx, in, thresholds)
 		}

@@ -24,7 +24,6 @@ import (
 	"auditgame"
 	"auditgame/internal/game"
 	"auditgame/internal/lp"
-	"auditgame/internal/refit"
 	"auditgame/internal/sample"
 	"auditgame/internal/serve"
 	"auditgame/internal/solver"
@@ -226,11 +225,10 @@ type warmBenchConfig struct {
 // scaledDriftPair builds the warm-refit benchmark scenario: a
 // bank-scale scaled workload plus the same workload after a small
 // (~2%) rate drift in every count template — the magnitude a window
-// snapshot refit typically sees — together with the pinned thresholds,
-// shared budget, and per-type total-variation distances the warm solve
-// screens with. Attack structure and seeds are identical, so the two
-// games are structurally compatible by construction.
-func scaledDriftPair(b *testing.B, c warmBenchConfig) (base, drifted *game.Game, thr game.Thresholds, budget float64, tv []float64) {
+// snapshot refit typically sees — together with the pinned thresholds
+// and shared budget. Attack structure and seeds are identical, so the
+// two games are structurally compatible by construction.
+func scaledDriftPair(b *testing.B, c warmBenchConfig) (base, drifted *game.Game, thr game.Thresholds, budget float64) {
 	b.Helper()
 	mk := func(scale float64) *game.Game {
 		tmpl := workload.DefaultTemplates()
@@ -257,23 +255,19 @@ func scaledDriftPair(b *testing.B, c warmBenchConfig) (base, drifted *game.Game,
 		budget += at.Dist.Mean() * at.Cost
 	}
 	budget *= 0.1
-	tv = make([]float64, c.nT)
-	for i := range tv {
-		tv[i] = refit.TotalVariation(base.Types[i].Dist, drifted.Types[i].Dist)
-	}
-	return base, drifted, thr, budget, tv
+	return base, drifted, thr, budget
 }
 
 // benchWarmRegime runs the cold/warm sub-benchmark pair for one sizing
 // regime. "cold" solves the drifted instance from scratch (the
 // pre-SolveState behaviour on every drift refit); "warm" refits from a
 // state solved on the pre-drift model — pool-seeded master,
-// basis-crashed simplex, TV-screened re-pricing. Both time a fresh
+// basis-crashed simplex. Both time a fresh
 // instance (empty Pal cache), so the measured work is the full re-solve
 // a serving process pays; the warm path's state preparation runs off
 // the clock. It returns the final cold and warm losses.
 func benchWarmRegime(b *testing.B, c warmBenchConfig) (coldLoss, warmLoss float64) {
-	base, drifted, thr, budget, tv := scaledDriftPair(b, c)
+	base, drifted, thr, budget := scaledDriftPair(b, c)
 	ctx := context.Background()
 	opts := solver.CGGSOptions{ExhaustiveOracle: c.exhaustive}
 	newInstance := func(g *game.Game) *game.Instance {
@@ -314,7 +308,7 @@ func benchWarmRegime(b *testing.B, c warmBenchConfig) (coldLoss, warmLoss float6
 			din := newInstance(drifted)
 			runtime.GC()
 			b.StartTimer()
-			pol, err := st.Refit(ctx, din, thr, tv)
+			pol, err := st.Refit(ctx, din, thr, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,7 +319,6 @@ func benchWarmRegime(b *testing.B, c warmBenchConfig) (coldLoss, warmLoss float6
 		}
 		b.ReportMetric(warmLoss, "loss")
 		b.ReportMetric(float64(ws.ColumnsReused), "columns-reused")
-		b.ReportMetric(float64(ws.ColumnsParked), "columns-parked")
 		b.ReportMetric(float64(stats.MasterSolves), "pricing-rounds")
 		b.ReportMetric(float64(stats.PalEvals), "pal-evals")
 	})

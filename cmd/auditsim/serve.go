@@ -128,8 +128,6 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		// The server schedules refits as jobs itself, so AutoRefit
-		// stays off.
 		if err := a.AttachTracker(tr, auditgame.RefitOptions{MinLossDelta: *refitMinDelta}); err != nil {
 			return err
 		}

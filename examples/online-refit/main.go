@@ -86,8 +86,8 @@ func main() {
 		}
 
 		// Feed the tracker; when drift fires, re-solve on the window
-		// snapshot. (A serving process does the same asynchronously —
-		// RefitOptions.AutoRefit, or the policy server's job runner.)
+		// snapshot. (The policy server does the same asynchronously, as
+		// a refit job.)
 		dec, err := a.Observe(counts)
 		if err != nil {
 			log.Fatal(err)

@@ -6,8 +6,8 @@ import (
 )
 
 // SolveTrace is the span timeline of one solve or refit — pricing
-// rounds, master pivots, warm-start screening, the install-gate
-// verdict — as recorded by the solver stack. It rides
+// rounds, master pivots, the install-gate verdict — as recorded by the
+// solver stack. It rides
 // SolveResult.Trace / RefitOutcome.Trace into the serve layer's
 // solve-job DTO, so GET /v1/solve/{id} answers "where did this solve
 // spend its time".

@@ -2,11 +2,12 @@ package game_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"auditgame/internal/game"
-	"auditgame/internal/refit"
 	"auditgame/internal/sample"
 	"auditgame/internal/solver"
 	"auditgame/internal/workload"
@@ -64,20 +65,35 @@ func TestMasterMatchesReferenceTableV(t *testing.T) {
 	}
 }
 
+// panelSolve is one pinned solve of a bank-panel game: the objective's
+// float bits and the solve's work counts.
+type panelSolve struct {
+	objective                uint64
+	masters, pivots, columns int
+	reused                   int // warm refits only
+}
+
 // TestMasterMatchesReferenceBankPanel replays the three bank-drift
 // panel games' cold CGGS solves and their warm refits after a ×1.02
 // drift of the count model, master by master, through the direct
 // master and the reference builder. A refit's replay starts from its
-// reused columns and the cold solve's last basis.
+// reused columns and the cold solve's last basis. Each solve's
+// objective bits and work counts are pinned, so a change to the warm
+// path that moves any answer or any pivot fails here.
 func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank-panel replay takes several seconds")
 	}
 	masters := 0
 	for _, p := range []struct {
-		types int
-		bank  int64
-	}{{32, 1}, {40, 1}, {48, 2}} {
+		types      int
+		bank       int64
+		cold, warm panelSolve
+	}{
+		{32, 1, panelSolve{0x40c806039c94fd8b, 33, 2029, 33, 0}, panelSolve{0x40c81c66d896544d, 7, 605, 39, 33}},
+		{40, 1, panelSolve{0x40c805403a521368, 38, 2920, 38, 0}, panelSolve{0x40c80fe80a7e3c58, 12, 1406, 49, 38}},
+		{48, 2, panelSolve{0x40c803c0153f1714, 48, 4400, 48, 0}, panelSolve{0x40c80697b05a2a41, 10, 1537, 57, 48}},
+	} {
 		mk := func(scale float64) *game.Game {
 			tmpl := workload.DefaultTemplates()
 			for i := range tmpl {
@@ -100,10 +116,6 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 			budget += at.Dist.Mean() * at.Cost
 		}
 		budget *= 0.1
-		tv := make([]float64, p.types)
-		for i := range tv {
-			tv[i] = refit.TotalVariation(base.Types[i].Dist, drifted.Types[i].Dist)
-		}
 		thr := base.ThresholdCaps()
 		inBase, err := game.NewInstance(base, budget, sample.NewBank(base.Dists(), 512, p.bank))
 		if err != nil {
@@ -119,6 +131,7 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPanelSolve(t, fmt.Sprintf("%d types, cold", p.types), pol, st.Stats(), 0, p.cold)
 		cold, n, err := game.ReplayMasters(inBase, pol.Q, 1, thr, nil)
 		if err != nil {
 			t.Fatalf("%d types, cold: %v", p.types, err)
@@ -128,7 +141,7 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 		}
 		masters += n
 
-		wpol, err := st.Refit(context.Background(), inDrift, thr, tv)
+		wpol, err := st.Refit(context.Background(), inDrift, thr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,6 +149,7 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 		if !ws.Warm {
 			t.Fatalf("%d types: refit fell back cold", p.types)
 		}
+		checkPanelSolve(t, fmt.Sprintf("%d types, warm", p.types), wpol, st.Stats(), ws.ColumnsReused, p.warm)
 		_, n, err = game.ReplayMasters(inDrift, wpol.Q, ws.ColumnsReused, thr, cold)
 		if err != nil {
 			t.Fatalf("%d types, refit: %v", p.types, err)
@@ -147,5 +161,17 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 	}
 	if masters != 148 {
 		t.Fatalf("replayed %d masters, want the panel's 148", masters)
+	}
+}
+
+// checkPanelSolve compares one bank-panel solve against its pinned
+// objective bits and work counts.
+func checkPanelSolve(t *testing.T, name string, pol *solver.MixedPolicy, stats solver.CGGSStats, reused int, want panelSolve) {
+	t.Helper()
+	got := panelSolve{math.Float64bits(pol.Objective), stats.MasterSolves, stats.Pivots, stats.Columns, reused}
+	if got != want {
+		t.Errorf("%s: got objective %#x (%.17g), %d masters, %d pivots, %d columns, %d reused; want %#x, %d, %d, %d, %d",
+			name, got.objective, pol.Objective, got.masters, got.pivots, got.columns, got.reused,
+			want.objective, want.masters, want.pivots, want.columns, want.reused)
 	}
 }

@@ -48,24 +48,6 @@ func (in *Instance) StructuralFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// DualPricingScale returns Σ_{c,s} |RowDuals[c][s] · delta_{c,s}|, the
-// Lipschitz constant of a column's reduced cost with respect to uniform
-// detection-probability perturbation under the solve's duals: every
-// pal value moving by at most ε moves any column's reduced cost by at
-// most ε times this scale. Multiplied by a bound on the pal shift (the
-// summed per-type total-variation distances of a model refit), it
-// screens which pooled columns could possibly have priced negative
-// under the new model.
-func (in *Instance) DualPricingScale(res *LPResult) float64 {
-	var sum float64
-	for ci := range in.classes {
-		for s, sig := range in.classes[ci].sigs {
-			sum += math.Abs(res.RowDuals[ci][s] * sig.delta)
-		}
-	}
-	return sum
-}
-
 // MasterBasis is the optimal basis of a restricted master LP in
 // game-logical coordinates: ordering columns are identified by their
 // content, u_c columns by entity-class index, and slack columns by

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,15 +282,22 @@ func min3(a, b, c int) int {
 	return a
 }
 
-// sampleIndexes draws n distinct indexes from [0, total) and returns them
-// sorted.
+// sampleIndexes draws n distinct indexes uniformly from [0, total) and
+// returns them sorted. It runs Floyd's algorithm, keeping the draws in
+// sorted order as they arrive: n draws and O(n) memory, however large
+// total is. total is a realized count that serving clients supply, so
+// nothing here may grow with it.
 func sampleIndexes(total, n int, r *rand.Rand) []int {
-	perm := r.Perm(total)[:n]
-	// Insertion sort; n is small relative to bins.
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
+	chosen := make([]int, 0, n)
+	for j := total - n; j < total; j++ {
+		v := r.Intn(j + 1)
+		i, taken := slices.BinarySearch(chosen, v)
+		if taken {
+			// Every earlier draw is below j, so j sorts last.
+			chosen = append(chosen, j)
+		} else {
+			chosen = slices.Insert(chosen, i, v)
 		}
 	}
-	return perm
+	return chosen
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,7 +187,9 @@ func TestSelectValidation(t *testing.T) {
 	}
 }
 
-// Property: selections never exceed budget or thresholds for random counts.
+// Property: selections never exceed budget or thresholds for random
+// counts, and each type's chosen indexes are sorted, distinct and below
+// its count.
 func TestSelectInvariantsProperty(t *testing.T) {
 	p := validPolicy()
 	f := func(c0, c1, c2 uint8, seed int64) bool {
@@ -206,10 +209,64 @@ func TestSelectInvariantsProperty(t *testing.T) {
 			if float64(len(chosen))*p.Costs[typ] > p.Thresholds[typ]+1e-9 {
 				return false
 			}
+			for i, v := range chosen {
+				if v < 0 || v >= counts[typ] || (i > 0 && v <= chosen[i-1]) {
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSampleIndexesUniform checks that every subset is equally likely:
+// over 10⁵ draws of 2 indexes out of 5, each of the 10 pairs must
+// appear 10 % ± 1 % of the time.
+func TestSampleIndexesUniform(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const draws = 100000
+	var freq [5][5]int
+	for k := 0; k < draws; k++ {
+		got := sampleIndexes(5, 2, r)
+		freq[got[0]][got[1]]++
+	}
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			if f := float64(freq[a][b]) / draws; math.Abs(f-0.1) > 0.01 {
+				t.Errorf("pair {%d, %d} drawn %.4f of the time, want 0.1 ± 0.01", a, b, f)
+			}
+		}
+	}
+}
+
+// TestSelectHugeCount pins that the cost of Select does not grow with
+// the realized counts: a count of 2⁴⁰ alerts, which only asks for a
+// handful of audits, returns at once with well under 1 MB allocated.
+func TestSelectHugeCount(t *testing.T) {
+	p := validPolicy()
+	counts := []int{1 << 40, 1 << 40, 1 << 40}
+	r := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sel, err := p.Select(counts, r)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Select allocated %d bytes for counts %v", grew, counts)
+	}
+	if sel.Audited() == 0 || sel.Spent > p.Budget+1e-9 {
+		t.Fatalf("selection %+v: want some audits within budget %v", sel, p.Budget)
+	}
+	for typ, chosen := range sel.Chosen {
+		for i, v := range chosen {
+			if v < 0 || v >= counts[typ] || (i > 0 && v <= chosen[i-1]) {
+				t.Fatalf("type %d chose %v: not sorted, distinct and below the count", typ, chosen)
+			}
+		}
 	}
 }

@@ -176,14 +176,14 @@ func (dd *DistanceDetector) Detect(types []TypeWindow) (Verdict, error) {
 }
 
 // TotalVariation returns the total-variation distance ½·Σ|p−q| between
-// two discrete distributions, summed over the union of their supports.
-// PMF is O(1) on every dist kind, so the cost is one pass over the
-// union support.
+// two discrete distributions, summed over their supports. PMF is O(1)
+// on every dist kind, so the cost is one pass over each support.
 func TotalVariation(p, q dist.Distribution) float64 {
-	lo, hi := unionSupport(p, q)
 	var sum float64
-	for n := lo; n <= hi; n++ {
-		sum += math.Abs(p.PMF(n) - q.PMF(n))
+	for _, s := range supportSpans(p, q) {
+		for n := s[0]; n <= s[1]; n++ {
+			sum += math.Abs(p.PMF(n) - q.PMF(n))
+		}
 	}
 	return sum / 2
 }
@@ -194,14 +194,15 @@ func TotalVariation(p, q dist.Distribution) float64 {
 const klSmooth = 1e-9
 
 // SymmetrizedKL returns the Jeffreys divergence KL(p‖q) + KL(q‖p) over
-// the union support, with ε-smoothing on both PMFs.
+// the two supports, with ε-smoothing on both PMFs.
 func SymmetrizedKL(p, q dist.Distribution) float64 {
-	lo, hi := unionSupport(p, q)
 	var sum float64
-	for n := lo; n <= hi; n++ {
-		pp := p.PMF(n) + klSmooth
-		qq := q.PMF(n) + klSmooth
-		sum += (pp - qq) * math.Log(pp/qq)
+	for _, s := range supportSpans(p, q) {
+		for n := s[0]; n <= s[1]; n++ {
+			pp := p.PMF(n) + klSmooth
+			qq := q.PMF(n) + klSmooth
+			sum += (pp - qq) * math.Log(pp/qq)
+		}
 	}
 	return sum
 }
@@ -220,8 +221,23 @@ func Variance(d dist.Distribution) float64 {
 	return v
 }
 
-func unionSupport(p, q dist.Distribution) (int, int) {
+// supportSpans returns the count ranges [lo, hi] that cover p's and
+// q's supports, in increasing order: their union as one span when they
+// overlap or touch (the second span is then empty), or each support on
+// its own when a gap separates them. Both PMFs are zero in the gap, and
+// so is every term of both distances, so skipping it leaves their sums
+// bit for bit unchanged. The cost is then bounded by the supports'
+// sizes, not by how far apart they lie: observed counts are client
+// input, and a window of two-billion-alert periods must not cost two
+// billion terms under the tracker lock.
+func supportSpans(p, q dist.Distribution) [2][2]int {
 	plo, phi := p.Support()
 	qlo, qhi := q.Support()
-	return min(plo, qlo), max(phi, qhi)
+	if qlo < plo {
+		plo, phi, qlo, qhi = qlo, qhi, plo, phi
+	}
+	if qlo > phi+1 {
+		return [2][2]int{{plo, phi}, {qlo, qhi}}
+	}
+	return [2][2]int{{plo, max(phi, qhi)}, {1, 0}}
 }

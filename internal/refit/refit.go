@@ -9,10 +9,12 @@
 // Observe records one audit period's realized counts; on a configured
 // cadence — and subject to hysteresis — a pluggable Detector compares
 // the windows against the installed model. When it fires, the caller
-// (auditgame.Auditor, or the policy server's job runner above it)
-// launches a cancellable re-solve on the window snapshot and applies a
-// second-stage "policy-moved-enough" gate before installing the result;
-// the Tracker only decides that the model moved, never solves.
+// — the policy server's job runner, the simulator, or an application
+// loop; auditgame.Auditor.Observe only forwards the decision — launches
+// the re-solve (Auditor.Refit or RefitWithRetry), which solves on the
+// window snapshot and applies a second-stage "policy-moved-enough" gate
+// before installing the result; the Tracker only decides that the model
+// moved, never solves.
 package refit
 
 import (
@@ -102,8 +104,8 @@ type Decision struct {
 	// Period is the 1-based count of periods observed so far.
 	Period int `json:"period"`
 	// Checked reports whether the detector ran this period; when false,
-	// Reason says what suppressed it (cadence, fill, hysteresis, or no
-	// installed model).
+	// Reason says what suppressed it (cadence, fill, hysteresis, no
+	// installed model) or why the detector failed.
 	Checked bool `json:"checked"`
 	// Drift reports a firing: the workload has moved from the installed
 	// model and hysteresis allows acting on it.
@@ -228,10 +230,18 @@ func (t *Tracker) SetInstalled(model []dist.Distribution, policyVersion uint64) 
 // Observe records one audit period's realized per-type counts and, on
 // cadence periods that clear the hysteresis gates, runs the drift
 // detector. The returned Decision says whether drift fired; the caller
-// decides what a firing launches.
+// decides what a firing launches. An error means the counts were
+// rejected and nothing was recorded; a detector failure is reported as
+// an unchecked Decision instead, because the period is already in the
+// windows by then.
 func (t *Tracker) Observe(counts []int) (Decision, error) {
 	if len(counts) != len(t.est) {
 		return Decision{}, fmt.Errorf("refit: observed %d counts, tracker has %d types", len(counts), len(t.est))
+	}
+	for i, c := range counts {
+		if c < 0 {
+			return Decision{}, fmt.Errorf("refit: negative count %d for type %d", c, i)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -261,7 +271,9 @@ func (t *Tracker) Observe(counts []int) (Decision, error) {
 	}
 	v, err := t.cfg.Detector.Detect(views)
 	if err != nil {
-		return Decision{}, err
+		d.Reason = "detector failed: " + err.Error()
+		t.last = &d
+		return d, nil
 	}
 	t.checks++
 	d.Checked = true
@@ -316,30 +328,6 @@ func (t *Tracker) Snapshot() ([]dist.Spec, error) {
 		specs[i] = s
 	}
 	return specs, nil
-}
-
-// ModelDistances returns the exact per-type total-variation distance
-// between the installed reference model and the current window
-// snapshot — the drift magnitudes a warm-started refit uses to decide
-// which pooled solver columns must be re-priced. It fails before
-// SetInstalled or while any window is empty. Unlike Decision.Scores
-// (whose TV entries are −1 when the detector's fast path already ruled
-// a type out), every entry here is computed.
-func (t *Tracker) ModelDistances() ([]float64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.installed == nil {
-		return nil, fmt.Errorf("refit: no installed model to measure distances from")
-	}
-	tv := make([]float64, len(t.est))
-	for i, e := range t.est {
-		snap, err := e.SnapshotGaussian(t.cfg.Coverage)
-		if err != nil {
-			return nil, fmt.Errorf("refit: type %d: %w", i, err)
-		}
-		tv[i] = TotalVariation(t.installed[i], snap)
-	}
-	return tv, nil
 }
 
 // State reports the tracker's serializable state.

@@ -3,6 +3,8 @@ package refit
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -401,50 +403,132 @@ func TestTrackerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestModelDistances(t *testing.T) {
-	tr := newTracker(t, 3, Config{Window: 20})
-	if _, err := tr.ModelDistances(); err == nil {
-		t.Fatal("want error before SetInstalled")
+// countingDist counts the PMF evaluations made on it.
+type countingDist struct {
+	dist.Distribution
+	calls *int
+}
+
+func (c countingDist) PMF(n int) float64 {
+	*c.calls++
+	return c.Distribution.PMF(n)
+}
+
+// TestDistancesSkipSupportGap pins that the distances sum over the two
+// supports only: bit for bit what a term-by-term pass over the whole
+// range from the lower support's start to the upper one's end gives,
+// with no PMF call in the gap, so a far-off window costs no more than a
+// near one.
+func TestDistancesSkipSupportGap(t *testing.T) {
+	span := func(p, q dist.Distribution, term func(n int) float64) float64 {
+		plo, phi := p.Support()
+		qlo, qhi := q.Support()
+		var sum float64
+		for n := min(plo, qlo); n <= max(phi, qhi); n++ {
+			sum += term(n)
+		}
+		return sum
 	}
+	g := dist.NewGaussian(10, 2, 0.995)
+	for _, q := range []dist.Distribution{
+		g, dist.NewGaussian(12, 3, 0.995), dist.NewPoint(17), dist.NewPoint(18),
+		dist.NewPoint(400), dist.NewGaussian(900, 40, 0.995), dist.NewPoint(0),
+	} {
+		for _, pq := range [][2]dist.Distribution{{g, q}, {q, g}} {
+			p, q := pq[0], pq[1]
+			tv := span(p, q, func(n int) float64 { return math.Abs(p.PMF(n) - q.PMF(n)) }) / 2
+			kl := span(p, q, func(n int) float64 {
+				pp, qq := p.PMF(n)+klSmooth, q.PMF(n)+klSmooth
+				return (pp - qq) * math.Log(pp/qq)
+			})
+			plo, phi := p.Support()
+			qlo, qhi := q.Support()
+			if got := TotalVariation(p, q); math.Float64bits(got) != math.Float64bits(tv) {
+				t.Errorf("TV over supports [%d, %d], [%d, %d] = %v, full span gives %v", plo, phi, qlo, qhi, got, tv)
+			}
+			if got := SymmetrizedKL(p, q); math.Float64bits(got) != math.Float64bits(kl) {
+				t.Errorf("symKL over supports [%d, %d], [%d, %d] = %v, full span gives %v", plo, phi, qlo, qhi, got, kl)
+			}
+		}
+	}
+
+	calls := 0
+	far := countingDist{dist.NewPoint(2_000_000_000), &calls}
+	near := countingDist{g, &calls}
+	if tv := TotalVariation(near, far); math.Abs(tv-1) > 1e-12 {
+		t.Fatalf("TV of disjoint supports = %v, want 1", tv)
+	}
+	SymmetrizedKL(near, far)
+	lo, hi := g.Support()
+	if want := 2 * 2 * (hi - lo + 2); calls > want {
+		t.Fatalf("distances made %d PMF calls across a gap of 2·10⁹, want at most %d", calls, want)
+	}
+}
+
+// TestObserveRejectsNegativeCount pins that a negative count is
+// rejected before any window is touched: the error means nothing was
+// recorded, so the tracker's state is unchanged.
+func TestObserveRejectsNegativeCount(t *testing.T) {
 	ds := model(t)
+	tr := newTracker(t, len(ds), Config{Window: 10})
 	if err := tr.SetInstalled(ds, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.ModelDistances(); err == nil {
-		t.Fatal("want error on empty windows")
-	}
-
-	// Feed the installed model itself: distances should be small.
-	r := rand.New(rand.NewSource(11))
-	feed(t, tr, ds, r, 40)
-	tv, err := tr.ModelDistances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tv) != 3 {
-		t.Fatalf("want 3 distances, got %d", len(tv))
-	}
-	for i, d := range tv {
-		if d < 0 || d > 1 {
-			t.Fatalf("tv[%d] = %v outside [0, 1]", i, d)
+	feed(t, tr, ds, rand.New(rand.NewSource(3)), 6)
+	before := tr.State()
+	for _, counts := range [][]int{{10, -50, 3}, {-1, 6, 3}, {10, 6}} {
+		if _, err := tr.Observe(counts); err == nil {
+			t.Fatalf("Observe(%v) accepted invalid counts", counts)
 		}
-		if d > 0.5 {
-			t.Fatalf("tv[%d] = %v too large for data drawn from the installed model", i, d)
+		if after := tr.State(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("Observe(%v) was rejected but changed the state:\nbefore %+v\nafter  %+v", counts, before, after)
 		}
 	}
+}
 
-	// Shift one type far away: its distance must dominate and approach 1.
-	shifted := model(t)
-	shifted[1] = dist.NewGaussian(40, 2, 0.995)
-	feed(t, tr, shifted, r, 40)
-	tv2, err := tr.ModelDistances()
-	if err != nil {
+// TestObserveDetectorFailureIsRecorded pins the other half of the
+// Observe contract: a count the detector cannot score (here one so
+// large that the window's Gaussian snapshot exceeds the table cap) is
+// still a valid observation. It is recorded, the period advances, and
+// the failure comes back as an unchecked decision, not an error — as
+// does every valid observation while the count stays in the window.
+func TestObserveDetectorFailureIsRecorded(t *testing.T) {
+	ds := model(t)
+	const window = 10
+	tr := newTracker(t, len(ds), Config{Window: window, MinInterval: -1, Cooldown: -1})
+	if err := tr.SetInstalled(ds, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tv2[1] < 0.9 {
-		t.Fatalf("shifted type distance = %v, want near 1", tv2[1])
+	r := rand.New(rand.NewSource(5))
+	feed(t, tr, ds, r, window)
+	period := tr.State().Periods
+
+	dec, err := tr.Observe([]int{10, 2_000_000_000, 3})
+	if err != nil {
+		t.Fatalf("Observe with a huge count returned an error: %v", err)
 	}
-	if tv2[1] <= tv2[0] || tv2[1] <= tv2[2] {
-		t.Fatalf("shifted type must dominate: %v", tv2)
+	period++
+	if dec.Period != period || dec.Checked || dec.Drift || !strings.HasPrefix(dec.Reason, "detector failed: ") {
+		t.Fatalf("decision = %+v, want an unchecked period %d with a detector-failure reason", dec, period)
+	}
+	if st := tr.State(); st.Periods != period || st.Last == nil || st.Last.Reason != dec.Reason {
+		t.Fatalf("state = %+v, want period %d recorded with the failed decision", st, period)
+	}
+	counts := make([]int, len(ds))
+	for i := 0; i < 2*window; i++ {
+		for k := range counts {
+			counts[k] = ds[k].Sample(r)
+		}
+		dec, err := tr.Observe(counts)
+		if err != nil {
+			t.Fatalf("valid observe %d after the huge count returned an error: %v", i+1, err)
+		}
+		period++
+		if dec.Period != period {
+			t.Fatalf("valid observe %d: period %d, want %d", i+1, dec.Period, period)
+		}
+		if inWindow := i < window-1; inWindow != strings.HasPrefix(dec.Reason, "detector failed: ") {
+			t.Fatalf("valid observe %d (huge count in window: %v): reason %q", i+1, inWindow, dec.Reason)
+		}
 	}
 }

@@ -79,9 +79,9 @@ type JobResponse struct {
 	Detail string `json:"detail,omitempty"`
 	// Warm carries the warm-start accounting of column-generation solves
 	// on sessions running MethodCGGS: whether the solve reused the
-	// session's persisted column pool and LP basis, how many columns the
-	// drift screen parked, and the pricing-round count. Absent for other
-	// methods and for jobs that failed before solving.
+	// session's persisted column pool and LP basis, how many columns
+	// seeded the first master, and the pricing-round count. Absent for
+	// other methods and for jobs that failed before solving.
 	Warm *auditgame.WarmStats `json:"warm_stats,omitempty"`
 	// Stats is the solve's column-generation work accounting (MethodCGGS
 	// sessions): columns, master solves, pivots, pal evaluations, and
@@ -89,9 +89,8 @@ type JobResponse struct {
 	// counters. Absent for other methods and failed jobs.
 	Stats *auditgame.CGGSStats `json:"solve_stats,omitempty"`
 	// Trace is the solve's span timeline — pricing rounds with their
-	// pivot counts, warm-start screening, the refit gate decision — as
-	// recorded by the solver stack. Present on finished solve/refit
-	// jobs.
+	// pivot counts, the refit gate decision — as recorded by the solver
+	// stack. Present on finished solve/refit jobs.
 	Trace *auditgame.SolveTrace `json:"trace,omitempty"`
 }
 
@@ -142,7 +141,7 @@ type DriftResponse struct {
 	// LastRefitWarm is the warm-start accounting of the most recent
 	// finished refit job (MethodCGGS sessions): whether the re-solve
 	// reused the session's column pool and basis or fell back cold on a
-	// structural change, and how much re-pricing the drift screen saved.
+	// structural change, and how many columns it reused.
 	LastRefitWarm *auditgame.WarmStats `json:"last_refit_warm,omitempty"`
 	// State is the tracker's detector state: window vs model means,
 	// check/fire/install counters, hysteresis markers, and the last

@@ -58,8 +58,7 @@ func trackedServer(t *testing.T) (*auditgame.Auditor, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The serving layer owns refit scheduling (jobs), so AutoRefit
-	// stays off; any strict improvement installs.
+	// Any strict improvement installs.
 	if err := a.AttachTracker(tr, auditgame.RefitOptions{MinLossDelta: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -163,15 +163,14 @@ func TestWarmStatePoisoningGuard(t *testing.T) {
 	fault.Enable(fault.Plan{Seed: 3, Rules: []fault.Rule{
 		{Point: fault.SolverPricingRound, Mode: fault.ModeError, Prob: 1, MaxFires: 1},
 	}})
-	tv := perTypeTV(t, testGame(), driftedGame())
-	_, err := st.Refit(ctx, instanceOf(t, driftedGame(), 2), b, tv)
+	_, err := st.Refit(ctx, instanceOf(t, driftedGame(), 2), b, nil)
 	fault.Disable()
 	if err == nil {
 		t.Fatal("injected refit fault did not surface")
 	}
 
 	// The next refit of a compatible instance must NOT run warm.
-	refitPol, err := st.Refit(ctx, instanceOf(t, driftedGame(), 2), b, tv)
+	refitPol, err := st.Refit(ctx, instanceOf(t, driftedGame(), 2), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

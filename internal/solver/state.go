@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"auditgame/internal/fault"
 	"auditgame/internal/game"
@@ -12,24 +11,18 @@ import (
 )
 
 // SolveState is a persistent column-generation solver: it owns the
-// column pool, the restricted master's LP basis, and the per-column
-// reduced costs of the last solve, together with the structural
-// fingerprint of the instance they were priced under. A fresh state
-// solves cold exactly like CGGS; Refit reuses everything the model
-// change did not invalidate — the pool seeds the master instead of a
-// single greedy column, the basis crash-starts the simplex, and
-// columns whose cached reduced cost puts them safely above the
-// drift-bounded change radius stay parked outside the master until a
-// final exact re-pricing pass certifies them.
+// column pool and the restricted master's LP basis of the last solve,
+// together with the structural fingerprint and thresholds of the
+// instance they were priced under. A fresh state solves cold exactly
+// like CGGS; Refit seeds the first master with the whole pool instead
+// of a single column and crash-starts the simplex from the basis.
 //
 // Invariants:
-//   - pool/basis/rc are only meaningful for an instance whose
+//   - pool and basis are only meaningful for an instance whose
 //     StructuralFingerprint matches fingerprint and thresholds match
 //     thresholds; Refit falls back to a cold solve otherwise.
-//   - parked columns are a screening device, never a correctness one:
-//     every solve re-prices all parked columns exactly under its final
-//     duals before terminating, so stale cached reduced costs can only
-//     cost pivots (a column activated late), not optimality.
+//   - the pool is a copy of the last solve's final column set, so the
+//     column cap bounds it across any number of refits.
 //   - state fields are replaced only on a successful solve; a
 //     cancelled or failed solve leaves the previous state intact.
 //
@@ -45,9 +38,7 @@ type SolveState struct {
 	fingerprint uint64
 	thresholds  game.Thresholds
 	pool        []game.Ordering
-	rc          []float64 // last-solve reduced cost per pool column
 	basis       *game.MasterBasis
-	dualScale   float64
 
 	stats CGGSStats
 	warm  WarmStats
@@ -62,12 +53,9 @@ type WarmStats struct {
 	// ColumnsReused is the number of pooled columns seeded into the
 	// first restricted master.
 	ColumnsReused int `json:"columns_reused"`
-	// ColumnsParked is the number of pooled columns the drift screening
-	// bound kept out of the master on their cached reduced costs.
+	// ColumnsParked is always 0: a warm refit seeds every pooled
+	// column. It stays for the benchmark harness that reads it.
 	ColumnsParked int `json:"columns_parked"`
-	// ColumnsReevaluated is the number of parked columns exactly
-	// re-priced by the termination net.
-	ColumnsReevaluated int `json:"columns_reevaluated"`
 	// PricingRounds is the number of restricted-master solves.
 	PricingRounds int `json:"pricing_rounds"`
 }
@@ -91,9 +79,8 @@ func (st *SolveState) Columns() int { return len(st.pool) }
 // invalidates the persisted warm state so the next solve falls back
 // cold. The invalidation is deliberately conservative: the state fields
 // themselves are replaced only on success, but a failure mid-solve may
-// leave caches (the instance's pal tables, a partially-consumed pool
-// slice) in a shape the screening bounds were never priced against, and
-// a cold re-solve costs time where a poisoned warm start could cost
+// leave caches (the instance's pal tables) in an unknown shape, and a
+// cold re-solve costs time where a poisoned warm start could cost
 // correctness.
 func (st *SolveState) contain(op string, errp *error) {
 	if r := recover(); r != nil {
@@ -119,83 +106,45 @@ func (st *SolveState) Solve(ctx context.Context, in *game.Instance, b game.Thres
 		return nil, fmt.Errorf("solver: initial ordering %v is not a permutation of %d types", initial, nT)
 	}
 	st.warm = WarmStats{}
-	active := []game.Ordering{initial.Clone()}
-	inQ := map[string]bool{initial.Key(): true}
-	return st.run(ctx, in, b, active, inQ, nil, nil)
+	return st.run(ctx, in, b, []game.Ordering{initial.Clone()}, nil)
 }
 
 // Refit re-solves against a refit instance — same game structure,
 // updated count model. When the instance is structurally compatible
 // with the persisted state (equal fingerprint and thresholds) the solve
-// is warm: the pool seeds the master, the basis crash-starts the
-// simplex, and tv — per-type total-variation distances between the old
-// and new count models, as the drift detector scores them — screens
-// which pooled columns must be re-priced up front. A nil tv disables
-// screening (every pooled column enters the master), which is still
-// warm. Structural mismatch falls back to a cold Solve.
-func (st *SolveState) Refit(ctx context.Context, in *game.Instance, b game.Thresholds, tv []float64) (pol *MixedPolicy, err error) {
+// is warm: the whole pool, in pool order, seeds the first master and
+// the basis crash-starts the simplex. Structural mismatch falls back to
+// a cold Solve. The last argument is unused; it stays for the benchmark
+// harness that passes it.
+func (st *SolveState) Refit(ctx context.Context, in *game.Instance, b game.Thresholds, _ []float64) (pol *MixedPolicy, err error) {
 	defer st.contain("cggs.refit", &err)
 	if !st.valid || st.fingerprint != in.StructuralFingerprint() || st.thresholds.Key() != b.Key() {
 		return st.Solve(ctx, in, b)
 	}
-
-	// Screening bound: a column's reduced cost moves by at most
-	// dualScale · Σ_t TV_t under the model change (pal values are
-	// expectations of [0,1] quantities, so they move by at most the
-	// joint total variation, itself at most the per-type sum). The
-	// factor 2 absorbs the bound being evaluated under the old duals
-	// while the master re-solve shifts them; the termination net makes
-	// any remaining slack a performance question, not a correctness one.
-	bound := math.Inf(1)
-	if tv != nil {
-		var tvTotal float64
-		for _, d := range tv {
-			if d > 0 {
-				tvTotal += d
-			}
-		}
-		bound = 2*st.dualScale*tvTotal + st.opts.withDefaults(in.G.NumTypes()).Eps
-	}
-
-	sp := telemetry.FromContext(ctx).StartSpan("cggs.warm_screen")
-	var active, parked []game.Ordering
-	inQ := make(map[string]bool, len(st.pool))
-	for i, o := range st.pool {
-		if st.rc[i] <= bound {
-			active = append(active, o)
-			inQ[o.Key()] = true
-		} else {
-			parked = append(parked, o)
-		}
-	}
-	sp.EndValue(int64(len(parked)))
-	if len(active) == 0 {
-		// Cannot happen with a sane pool (support columns price at 0),
-		// but never hand the master an empty column set.
-		return st.Solve(ctx, in, b)
-	}
-	st.warm = WarmStats{Warm: true, ColumnsReused: len(active), ColumnsParked: len(parked)}
-	return st.run(ctx, in, b, active, inQ, parked, st.basis)
+	st.warm = WarmStats{Warm: true, ColumnsReused: len(st.pool)}
+	return st.run(ctx, in, b, append([]game.Ordering(nil), st.pool...), st.basis)
 }
 
 // run is the column-generation loop shared by cold and warm solves:
-// master solve (warm-chaining the basis between rounds), greedy column
-// construction, optional exhaustive-oracle ablation, and the parked-
-// column termination net. On success it replaces the persisted state.
+// master solve over Q (warm-chaining the basis between rounds), greedy
+// column construction, and the optional exhaustive-oracle ablation. On
+// success it replaces the persisted state.
 func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresholds,
-	active []game.Ordering, inQ map[string]bool, parked []game.Ordering, basis *game.MasterBasis) (*MixedPolicy, error) {
+	Q []game.Ordering, basis *game.MasterBasis) (*MixedPolicy, error) {
 
 	nT := in.G.NumTypes()
 	opts := st.opts.withDefaults(nT)
 	stats := CGGSStats{}
 	var oStats oracleStats
 	palEvals0 := in.PalEvals()
-	Q := active
+	inQ := make(map[string]bool, len(Q))
+	for _, o := range Q {
+		inQ[o.Key()] = true
+	}
 
 	// Trace spans make the solve timeline observable end to end: one
 	// "cggs.master" span (value = simplex pivots) and one "cggs.price"
-	// span (value = pool size) per pricing round, plus one-shot spans
-	// for the parked-column termination net. A nil trace (no caller
+	// span (value = pool size) per pricing round. A nil trace (no caller
 	// attached one) records nothing.
 	tr := telemetry.FromContext(ctx)
 
@@ -264,67 +213,12 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 			}
 		}
 
-		// Termination net: parked columns were screened on cached
-		// reduced costs from the old model; before accepting
-		// termination, re-price all of them exactly under the current
-		// duals and pull in any that actually price negative. Repeated
-		// passes are nearly free — the first evaluation populates the
-		// new instance's pal cache.
-		if len(parked) > 0 {
-			st.warm.ColumnsReevaluated = len(parked)
-			psp := tr.StartSpan("cggs.parked_reprice")
-			rcs := in.ReducedCosts(res, in.PalBatch(parked, b))
-			psp.EndValue(int64(len(parked)))
-			keep := parked[:0]
-			pulled := false
-			for j, c := range rcs {
-				o := parked[j]
-				switch {
-				case inQ[o.Key()]: // regenerated by the oracle meanwhile
-				case c < -opts.Eps:
-					Q = append(Q, o)
-					inQ[o.Key()] = true
-					pulled = true
-				default:
-					keep = append(keep, o)
-				}
-			}
-			parked = keep
-			if pulled {
-				continue
-			}
-		}
 		break
 	}
 
 	pol := &MixedPolicy{Q: Q, Po: res.Po, Thresholds: b.Clone(), Objective: res.Objective}
-
-	// Persist: the pool is the active set plus whatever stayed parked,
-	// re-priced under the final duals so the next refit screens against
-	// fresh numbers. Cap the carried pool so repeated refits cannot grow
-	// it without bound — worst-priced parked columns are dropped first.
-	pool := append(append([]game.Ordering(nil), Q...), parked...)
-	rc := in.ReducedCosts(res, in.PalBatch(pool, b))
-	if maxPool := 2 * opts.MaxColumns; len(pool) > maxPool {
-		idx := make([]int, len(pool))
-		for i := range idx {
-			idx[i] = i
-		}
-		// Keep the active set (first len(Q)) unconditionally; order the
-		// parked tail by reduced cost.
-		sort.SliceStable(idx[len(Q):], func(x, y int) bool {
-			return rc[idx[len(Q)+x]] < rc[idx[len(Q)+y]]
-		})
-		np, nr := make([]game.Ordering, maxPool), make([]float64, maxPool)
-		for i := 0; i < maxPool; i++ {
-			np[i], nr[i] = pool[idx[i]], rc[idx[i]]
-		}
-		pool, rc = np, nr
-	}
-	st.pool = pool
-	st.rc = rc
+	st.pool = append([]game.Ordering(nil), Q...)
 	st.basis = res.Basis
-	st.dualScale = in.DualPricingScale(res)
 	st.fingerprint = in.StructuralFingerprint()
 	st.thresholds = b.Clone()
 	st.valid = true

@@ -7,7 +7,6 @@ import (
 
 	"auditgame/internal/dist"
 	"auditgame/internal/game"
-	"auditgame/internal/refit"
 	"auditgame/internal/sample"
 )
 
@@ -36,17 +35,6 @@ func instanceOf(t *testing.T, g *game.Game, budget float64) *game.Instance {
 	return in
 }
 
-// perTypeTV computes the exact per-type total-variation distances
-// between two games' count models, as the drift detector would.
-func perTypeTV(t *testing.T, a, b *game.Game) []float64 {
-	t.Helper()
-	tv := make([]float64, len(a.Types))
-	for i := range a.Types {
-		tv[i] = refit.TotalVariation(a.Types[i].Dist, b.Types[i].Dist)
-	}
-	return tv
-}
-
 func TestSolveStateWarmRefitMatchesColdExactly(t *testing.T) {
 	// With the exhaustive oracle both paths are exact, so the warm refit
 	// must land on the same optimal loss as a cold solve of the drifted
@@ -65,8 +53,7 @@ func TestSolveStateWarmRefitMatchesColdExactly(t *testing.T) {
 		}
 
 		din := instanceOf(t, driftedGame(), budget)
-		tv := perTypeTV(t, testGame(), driftedGame())
-		warm, err := st.Refit(ctx, din, b, tv)
+		warm, err := st.Refit(ctx, din, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +86,7 @@ func TestSolveStateRefitReusesWork(t *testing.T) {
 	coldRounds := st.Stats().MasterSolves
 
 	din := instanceOf(t, driftedGame(), 2)
-	if _, err := st.Refit(ctx, din, b, perTypeTV(t, testGame(), driftedGame())); err != nil {
+	if _, err := st.Refit(ctx, din, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	ws := st.WarmStats()
@@ -181,7 +168,7 @@ func TestSolveStateNilTVRunsWarmUnscreened(t *testing.T) {
 
 func TestSolveStateRepeatedRefitsStayBounded(t *testing.T) {
 	// Alternate between two models for many refits: the pool must stay
-	// under its cap and every solve must stay exact-equivalent.
+	// within MaxColumns and every solve must stay exact-equivalent.
 	ctx := context.Background()
 	b := game.Thresholds{2, 2, 2}
 	opts := CGGSOptions{ExhaustiveOracle: true}
@@ -190,11 +177,11 @@ func TestSolveStateRepeatedRefitsStayBounded(t *testing.T) {
 	if _, err := st.Solve(ctx, instanceOf(t, games[0], 2), b); err != nil {
 		t.Fatal(err)
 	}
-	cap := 2 * (20*3 + 50)
+	cap := opts.withDefaults(3).MaxColumns
 	for i := 1; i <= 6; i++ {
 		g := games[i%2]
 		in := instanceOf(t, g, 2)
-		warm, err := st.Refit(ctx, in, b, perTypeTV(t, games[(i+1)%2], g))
+		warm, err := st.Refit(ctx, in, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

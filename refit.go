@@ -151,6 +151,8 @@ type RefitHealth struct {
 }
 
 // RefitOptions tunes the session's drift-triggered refit behaviour.
+// The session never launches a refit itself: whoever calls Observe
+// calls Refit or RefitWithRetry when drift fires.
 type RefitOptions struct {
 	// MinLossDelta is the second-stage "policy-moved-enough" gate: the
 	// refit policy must improve on the currently-installed policy —
@@ -158,23 +160,6 @@ type RefitOptions struct {
 	// margin to be installed. Zero requires any strict improvement;
 	// negative installs unconditionally.
 	MinLossDelta float64
-	// AutoRefit makes Observe launch a background Refit when drift
-	// fires. Leave it false when a serving layer owns refit scheduling
-	// (internal/serve runs refits as visible jobs instead).
-	AutoRefit bool
-	// Context parents auto-refit solves; nil means context.Background().
-	// Cancel it to stop in-flight auto-refits.
-	Context context.Context
-	// OnRefit, when set, receives every auto-refit outcome (including
-	// errors). Called from the refit goroutine.
-	OnRefit func(*RefitOutcome, error)
-	// ColdRefit opts a MethodCGGS session out of warm-started refit
-	// solves: every drift-triggered re-solve starts from scratch instead
-	// of reusing the session's persisted column pool and LP basis. The
-	// warm path returns the same policy (parked columns are exactly
-	// re-priced before any solve terminates), so this is a
-	// debugging/benchmarking switch, not a safety one.
-	ColdRefit bool
 	// Retry bounds RefitWithRetry's backoff loop around transient
 	// failures; the zero value takes the defaults.
 	Retry RetryPolicy
@@ -221,8 +206,8 @@ type RefitOutcome struct {
 	Reason string `json:"reason"`
 	// Warm carries the warm-start accounting of the refit solve for
 	// MethodCGGS sessions (nil for other methods): whether the session's
-	// persisted column pool and basis were reused, and how much
-	// re-pricing the drift screen saved.
+	// persisted column pool and basis were reused, how many columns
+	// seeded the first master, and the pricing-round count.
 	Warm *WarmStats `json:"warm_stats,omitempty"`
 	// Stats is the refit solve's column-generation work accounting
 	// (MethodCGGS sessions; nil otherwise): columns, master solves,
@@ -258,9 +243,6 @@ func (a *Auditor) AttachTracker(tr *Tracker, opts RefitOptions) error {
 		return fmt.Errorf("auditgame: tracker tracks %d alert types but the bound game has %d",
 			tr.NumTypes(), a.game.NumTypes())
 	}
-	if opts.Context == nil {
-		opts.Context = context.Background()
-	}
 	// Reject a duplicate attach before touching the tracker, so a
 	// failed call never disturbs the live tracker's reference model or
 	// cooldown; and seed the reference model before publishing the
@@ -289,10 +271,11 @@ func (a *Auditor) Tracker() *Tracker {
 }
 
 // Observe feeds one audit period's realized per-type counts to the
-// attached tracker. When drift fires and RefitOptions.AutoRefit is set,
-// a background Refit is launched (single-flight; its outcome goes to
-// RefitOptions.OnRefit). Safe for concurrent use and never blocked by
-// an in-flight solve — serving layers call it on the ingest path.
+// attached tracker and returns its decision; when drift fires, the
+// caller decides whether to Refit. An error means the counts were
+// rejected and nothing was recorded. Safe for concurrent use and never
+// blocked by an in-flight solve — serving layers call it on the ingest
+// path.
 func (a *Auditor) Observe(counts []int) (DriftDecision, error) {
 	b := a.refitBinding.Load()
 	if b == nil {
@@ -304,14 +287,6 @@ func (a *Auditor) Observe(counts []int) (DriftDecision, error) {
 	}
 	if m := a.metrics.Load(); m != nil {
 		m.Observes.Inc()
-	}
-	if dec.Drift && b.opts.AutoRefit && !a.refitting.Load() {
-		go func() {
-			out, rerr := a.Refit(b.opts.Context)
-			if b.opts.OnRefit != nil {
-				b.opts.OnRefit(out, rerr)
-			}
-		}()
 	}
 	return dec, nil
 }
@@ -399,17 +374,8 @@ func (a *Auditor) Refit(ctx context.Context) (*RefitOutcome, error) {
 		thresholds = ng.ThresholdCaps()
 	}
 	// Warm-start the re-solve from the session's persisted solve state
-	// (MethodCGGS; a no-op for the other methods). The tracker's exact
-	// per-type total-variation distances between the installed model and
-	// the window snapshot bound how far any pooled column's reduced cost
-	// can have moved, screening which columns must be re-priced up front;
-	// when the distances are unavailable (nothing installed yet, empty
-	// windows) the solve still runs warm, just unscreened.
-	var tv []float64
-	if !b.opts.ColdRefit {
-		tv, _ = b.tr.ModelDistances()
-	}
-	res, err := a.solveOn(ctx, nin, thresholds, tv, !b.opts.ColdRefit)
+	// (MethodCGGS; a no-op for the other methods).
+	res, err := a.solveOn(ctx, nin, thresholds, true)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"auditgame"
 )
@@ -178,45 +177,6 @@ func TestAuditorRefitGateRejects(t *testing.T) {
 	}
 }
 
-func TestAuditorAutoRefit(t *testing.T) {
-	a := refitAuditor(t)
-	if _, err := a.Solve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := auditgame.NewTracker(2, auditgame.TrackerConfig{Window: 10, MinInterval: -1, Cooldown: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make(chan *auditgame.RefitOutcome, 4)
-	opts := auditgame.RefitOptions{
-		AutoRefit: true,
-		OnRefit: func(out *auditgame.RefitOutcome, err error) {
-			if err != nil {
-				t.Errorf("auto refit: %v", err)
-				return
-			}
-			outcomes <- out
-		},
-	}
-	if err := a.AttachTracker(tr, opts); err != nil {
-		t.Fatal(err)
-	}
-	if !driftUntilFire(t, a, []float64{15, 9}, 60, 11) {
-		t.Fatal("drift never fired")
-	}
-	select {
-	case out := <-outcomes:
-		if !out.Installed || out.PolicyVersion != 2 {
-			t.Fatalf("auto refit outcome = %+v, want installed as version 2", out)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("auto refit never completed")
-	}
-	if v := a.PolicyVersion(); v != 2 {
-		t.Fatalf("PolicyVersion() = %d, want 2", v)
-	}
-}
-
 // TestAttachTrackerFailureIsClean pins that a rejected AttachTracker —
 // shape mismatch or duplicate attach — leaves both the session and any
 // already-attached tracker undisturbed.
@@ -297,40 +257,58 @@ func cggsRefitAuditor(t *testing.T, opts auditgame.RefitOptions) *auditgame.Audi
 	return a
 }
 
-// TestRefitWarmMatchesColdSolve drives two identical CGGS sessions —
-// one warm-starting refits from the persisted solve state, one opted
-// out via ColdRefit — through the same drift stream and requires the
-// same refit loss to LP tolerance. The warm path must actually be warm:
-// reused columns and the warm flag on the outcome.
+// TestRefitWarmMatchesColdSolve drives a CGGS session through a drift
+// and a warm refit, then solves the installed refit game from scratch
+// on a fresh session and requires the same refit loss to LP tolerance.
+// The warm path must actually be warm: reused columns and the warm flag
+// on the outcome.
 func TestRefitWarmMatchesColdSolve(t *testing.T) {
 	warm := cggsRefitAuditor(t, auditgame.RefitOptions{})
-	cold := cggsRefitAuditor(t, auditgame.RefitOptions{ColdRefit: true})
-	for _, a := range []*auditgame.Auditor{warm, cold} {
-		if !driftUntilFire(t, a, []float64{15, 9}, 60, 11) {
-			t.Fatal("drift never fired on a tripled workload")
-		}
+	if !driftUntilFire(t, warm, []float64{15, 9}, 60, 11) {
+		t.Fatal("drift never fired on a tripled workload")
 	}
 	wout, err := warm.Refit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cout, err := cold.Refit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wout.Warm == nil || !wout.Warm.Warm || wout.Warm.ColumnsReused == 0 {
 		t.Fatalf("warm refit accounting = %+v, want a warm solve with reused columns", wout.Warm)
 	}
-	if cout.Warm == nil || cout.Warm.Warm {
-		t.Fatalf("ColdRefit session still ran warm: %+v", cout.Warm)
+	if !wout.Installed {
+		t.Fatalf("warm refit not installed: %+v", wout)
 	}
-	// Same drift stream (same seed) → identical window snapshots →
-	// identical refit instances; warm and cold must agree exactly.
-	if d := wout.NewLoss - cout.NewLoss; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("warm refit loss %.12f != cold refit loss %.12f", wout.NewLoss, cout.NewLoss)
+	// The cold reference binds the installed refit game with the warm
+	// session's budget, realization source and thresholds, so it builds
+	// the same instance the refit solved and was scored on.
+	g, err := warm.Game()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !wout.Installed || !cout.Installed {
-		t.Fatalf("refits not installed: warm %+v, cold %+v", wout, cout)
+	cold, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Game:       g,
+		Budget:     3,
+		Method:     auditgame.MethodCGGS,
+		CGGS:       auditgame.CGGSConfig{ExhaustiveOracle: true},
+		Source:     auditgame.SourceOptions{Seed: 1},
+		Thresholds: auditgame.Thresholds{3, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, err := cold.SolveDetailed(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Warm == nil || cres.Warm.Warm {
+		t.Fatalf("cold reference accounting = %+v, want a cold solve's", cres.Warm)
+	}
+	in, err := auditgame.NewInstance(g, 3, auditgame.SourceOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldLoss := auditgame.Loss(in, cres.Mixed)
+	if d := wout.NewLoss - coldLoss; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("warm refit loss %.12f != cold solve loss %.12f", wout.NewLoss, coldLoss)
 	}
 	// A second drift-and-refit cycle stays warm across the install.
 	if !driftUntilFire(t, warm, []float64{4, 12}, 60, 13) {

@@ -13,7 +13,7 @@ type MixedPolicy = solver.MixedPolicy
 
 // WarmStats is the warm-start accounting of a column-generation solve on
 // a session: whether the persisted pool and basis were reused, how many
-// pooled columns the drift screen parked, and how many pricing rounds
+// pooled columns seeded the first master, and how many pricing rounds
 // the solve took. Attached to SolveResult and RefitOutcome for
 // MethodCGGS sessions.
 type WarmStats = solver.WarmStats
