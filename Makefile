@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test race bench chaos
+.PHONY: verify fmt vet build test race bench chaos perfsmoke
 
 # verify is the tier-1 gate: formatting, static checks, full build, and
 # the complete test suite. CI runs exactly this target.
@@ -37,6 +37,27 @@ CHAOS_ITERS ?= 10
 chaos:
 	CHAOS_ITERS=$(CHAOS_ITERS) $(GO) test -race -run 'TestChaos|TestRefit(Retry|Breaker)|Fault|Checkpoint|Backpressure|JobTable' -v . ./internal/solver ./internal/serve
 	$(GO) test -race -run 'TestServeCrashRecovery' -v ./cmd/auditsim
+
+# perfsmoke runs every perfbench workload for 3 s, untraced and traced,
+# and fails unless each run exits 0 and its last line reports
+# "correct": true. A deterministic output check that fails on every pass
+# leaves a benchmark run without a result, and so does a perfbench build
+# that an API change broke; this finds both in about half a minute.
+# Shorter runs are too short: serve-mixed needs its drift steps.
+PERFSMOKE_WORKLOADS = paper-syna bank-drift serve-mixed sim-seasonal
+
+perfsmoke:
+	@for w in $(PERFSMOKE_WORKLOADS); do \
+		for tr in 0 1; do \
+			out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace $$tr)" || \
+				{ echo "perfsmoke: $$w --trace $$tr exited $$?"; exit 1; }; \
+			last="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+			case "$$last" in \
+			'{"correct":true'*) echo "perfsmoke: $$w --trace $$tr: correct" ;; \
+			*) printf '%s\n' "$$out" | tail -n 5; echo "perfsmoke: $$w --trace $$tr: not correct"; exit 1 ;; \
+			esac; \
+		done; \
+	done
 
 # PR names the benchmark artifact (BENCH_$(PR).json); override it when
 # cutting a new baseline, e.g. `make bench PR=PR6`.

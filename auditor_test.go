@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"auditgame/internal/fault"
 )
 
 func TestAuditorWorkloadBinding(t *testing.T) {
@@ -226,8 +228,11 @@ func TestAuditorConcurrentSelectDuringReload(t *testing.T) {
 	}
 }
 
-// slowScaledAuditor binds a scaled workload big enough that a CGGS solve
-// takes on the order of a second — long enough to cancel mid-column.
+// slowScaledAuditor binds a scaled workload whose CGGS solve runs many
+// pricing rounds, each pricing a 64-type ordering over thousands of
+// entities. The tests below hold it in flight with inFlightPlan rather
+// than trusting it to outlast a sleep, since how long it takes depends
+// on the solver's speed and the host's.
 func slowScaledAuditor(t *testing.T) *Auditor {
 	t.Helper()
 	a, err := NewAuditor(AuditorConfig{
@@ -243,6 +248,27 @@ func slowScaledAuditor(t *testing.T) *Auditor {
 	return a
 }
 
+// inFlightPlan is a fault plan that sleeps 50 ms at the start of every
+// column-generation pricing round, so a multi-round solve is still
+// running whenever a test acts on it mid-solve.
+var inFlightPlan = fault.Plan{Seed: 1, Rules: []fault.Rule{
+	{Point: fault.SolverPricingRound, Mode: fault.ModeLatency, Prob: 1, Latency: 50 * time.Millisecond},
+}}
+
+// awaitPricingRound blocks until the active fault plan has seen the
+// first pricing round: the solve has built its instance and is now
+// mid-column.
+func awaitPricingRound(t *testing.T, done <-chan error) {
+	t.Helper()
+	for fault.Snapshot().For(fault.SolverPricingRound).Hits == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("solve returned %v before its first pricing round", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // TestAuditorSolveCancelMidColumn cancels a slow scaled column-generation
 // solve mid-flight and checks the contract the serving layer depends on:
 // the solve returns context.Canceled promptly (cancellation is checked
@@ -251,6 +277,8 @@ func slowScaledAuditor(t *testing.T) *Auditor {
 func TestAuditorSolveCancelMidColumn(t *testing.T) {
 	a := slowScaledAuditor(t)
 	before := runtime.NumGoroutine()
+	fault.Enable(inFlightPlan)
+	defer fault.Disable()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -258,7 +286,7 @@ func TestAuditorSolveCancelMidColumn(t *testing.T) {
 		_, err := a.Solve(ctx)
 		done <- err
 	}()
-	time.Sleep(200 * time.Millisecond)
+	awaitPricingRound(t, done)
 	cancel()
 
 	start := time.Now()
@@ -295,6 +323,8 @@ func TestAuditorSolveCancelMidColumn(t *testing.T) {
 // land immediately rather than queue behind the solve.
 func TestAuditorReloadDuringSolveDoesNotBlock(t *testing.T) {
 	a := slowScaledAuditor(t)
+	fault.Enable(inFlightPlan)
+	defer fault.Disable()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -302,7 +332,7 @@ func TestAuditorReloadDuringSolveDoesNotBlock(t *testing.T) {
 		_, err := a.Solve(ctx)
 		done <- err
 	}()
-	time.Sleep(300 * time.Millisecond) // the solve is mid-column now
+	awaitPricingRound(t, done) // the solve is mid-column now
 
 	// A hand-built policy matching the scaled game's 64 types.
 	p := &Policy{Budget: 10}
@@ -332,10 +362,12 @@ func TestAuditorReloadDuringSolveDoesNotBlock(t *testing.T) {
 	}
 }
 
-// TestAuditorSolveDeadline runs the same slow solve under a deadline and
-// under an already-cancelled context.
+// TestAuditorSolveDeadline runs the same slow solve, held in flight,
+// under a deadline and under an already-cancelled context.
 func TestAuditorSolveDeadline(t *testing.T) {
 	a := slowScaledAuditor(t)
+	fault.Enable(inFlightPlan)
+	defer fault.Disable()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	if _, err := a.Solve(ctx); !errors.Is(err, context.DeadlineExceeded) {

@@ -9,8 +9,9 @@ import (
 )
 
 // TestClassesMatchReferenceOnWorkloads builds every registered workload
-// at its default scale and checks the instance's classes against the
-// reference construction.
+// at its default scale (Syn A, credit, EMR and the rest) and checks the
+// instance's classes against the reference construction, and its
+// indexed signatures against the dense loops they replaced.
 func TestClassesMatchReferenceOnWorkloads(t *testing.T) {
 	for _, name := range workload.Names() {
 		g, _, err := workload.Build(name, workload.Scale{})
@@ -24,13 +25,16 @@ func TestClassesMatchReferenceOnWorkloads(t *testing.T) {
 		if err := game.ReferenceClassesDiff(in); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		if err := game.SignatureDiff(in, 1); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
 // TestBankPanelClasses builds the three bank-drift panel games (2,000
 // entities, a 512-row bank, budget fraction 0.1), checks their classes
-// against the reference construction, and pins their structural
-// fingerprints: a change to class partitions, signature order or class
+// against the reference construction and their indexed signatures
+// against the dense loops, and pins their structural fingerprints: a change to class partitions, signature order or class
 // weights moves the fingerprint, and with it the master LP's rows.
 func TestBankPanelClasses(t *testing.T) {
 	for _, p := range []struct {
@@ -55,6 +59,9 @@ func TestBankPanelClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := game.ReferenceClassesDiff(in); err != nil {
+			t.Errorf("%d types: %v", p.types, err)
+		}
+		if err := game.SignatureDiff(in, p.bank); err != nil {
 			t.Errorf("%d types: %v", p.types, err)
 		}
 		if fp := in.StructuralFingerprint(); fp != p.fp {

@@ -55,20 +55,45 @@ func (b Thresholds) String() string {
 // Attack has identical (TypeProbs, R, M, K) induces the same best-response
 // constraint, so the LP keeps one row per distinct signature. Ua(o,b,sig)
 // = base + delta·Pat with base = R−K and delta = −(M+R).
+//
+// An attack raises few of the alert types, so probs is mostly zeros. nz
+// holds its nonzero entries in type order, and the pricing loops run
+// over those alone; probs stays for the signature's identity (sigKey,
+// the float-bit interning and StructuralFingerprint). The hot loops
+// index into a class's signatures rather than copying each one out by a
+// range over values.
 type signature struct {
 	probs []float64
-	base  float64 // R − K
-	delta float64 // −(M + R)
+	nz    []typeProb // the nonzero probs, in type order
+	base  float64    // R − K
+	delta float64    // −(M + R)
 }
 
-func (s signature) ua(pal []float64) float64 {
+// typeProb is one nonzero entry of a signature's type distribution.
+type typeProb struct {
+	t int
+	p float64
+}
+
+// ua returns Ua = base + delta·Σ_t probs[t]·pal[t], summing the nonzero
+// terms in type order.
+func (s *signature) ua(pal []float64) float64 {
 	var pat float64
-	for t, p := range s.probs {
-		if p != 0 {
-			pat += p * pal[t]
-		}
+	for _, tp := range s.nz {
+		pat += tp.p * pal[tp.t]
 	}
 	return s.base + s.delta*pat
+}
+
+// nonzeroProbs returns the nonzero entries of probs in type order.
+func nonzeroProbs(probs []float64) []typeProb {
+	var nz []typeProb
+	for t, p := range probs {
+		if p != 0 {
+			nz = append(nz, typeProb{t, p})
+		}
+	}
+	return nz
 }
 
 // Instance binds a Game to an audit budget and a realization source, adds
@@ -236,6 +261,7 @@ func classify(g *Game) ([]entityClass, []int) {
 			classOf[string(buf)] = ci
 			var sigs []signature
 			for _, s := range cur {
+				s.sig.nz = nonzeroProbs(s.sig.probs)
 				sigs = append(sigs, s.sig)
 			}
 			classes = append(classes, entityClass{sigs: sigs})
@@ -312,8 +338,8 @@ func (in *Instance) PalInjected(o Ordering, b Thresholds, attackType int) float6
 func (in *Instance) UaRow(e int, pal []float64) []float64 {
 	sigs := in.classes[in.entityClass[e]].sigs
 	out := make([]float64, len(sigs))
-	for i, s := range sigs {
-		out[i] = s.ua(pal)
+	for i := range sigs {
+		out[i] = sigs[i].ua(pal)
 	}
 	return out
 }
@@ -340,13 +366,14 @@ func (in *Instance) classBestResponse(ci int, po []float64, pals [][]float64) fl
 	if in.G.AllowNoAttack {
 		best = 0
 	}
-	for _, s := range in.classes[ci].sigs {
+	sigs := in.classes[ci].sigs
+	for s := range sigs {
 		var u float64
 		for qi, pal := range pals {
 			if po[qi] == 0 {
 				continue
 			}
-			u += po[qi] * s.ua(pal)
+			u += po[qi] * sigs[s].ua(pal)
 		}
 		if u > best {
 			best = u

@@ -39,3 +39,8 @@ func ReplayMasters(in *Instance, Q []Ordering, first int, b Thresholds, from *Ma
 	}
 	return r, len(Q) - first + 1, nil
 }
+
+// SignatureDiff checks in's indexed signatures against the dense loops
+// they replaced (see signatureDiff), for the workload tests in package
+// game_test.
+func SignatureDiff(in *Instance, seed int64) error { return signatureDiff(in, seed) }

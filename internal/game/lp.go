@@ -131,10 +131,10 @@ func (in *Instance) writeMaster(ws *lp.Workspace, l masterLayout, pals [][]float
 		ws.C[up], ws.C[un] = cost, -cost
 		// Best response: Σ_o p_o·Ua(o,c,s) − u_c⁺ + u_c⁻ + slack = 0,
 		// starting on its slack.
-		for _, sig := range cl.sigs {
+		for s := range cl.sigs {
 			row := ws.Row(r)
 			for qi, pal := range pals {
-				if v := sig.ua(pal); v != 0 {
+				if v := cl.sigs[s].ua(pal); v != 0 {
 					row[qi] = v
 				}
 			}
@@ -238,10 +238,10 @@ func (in *Instance) ReducedCosts(res *LPResult, pals [][]float64) []float64 {
 func (in *Instance) reducedCostFromPal(res *LPResult, pal []float64) float64 {
 	var priced float64
 	for ci := range in.classes {
-		for s, sig := range in.classes[ci].sigs {
-			d := res.RowDuals[ci][s]
-			if d != 0 {
-				priced += d * sig.ua(pal)
+		sigs, duals := in.classes[ci].sigs, res.RowDuals[ci]
+		for s := range sigs {
+			if d := duals[s]; d != 0 {
+				priced += d * sigs[s].ua(pal)
 			}
 		}
 	}
@@ -255,16 +255,15 @@ func (in *Instance) reducedCostFromPal(res *LPResult, pal []float64) float64 {
 func (in *Instance) DualTypeWeights(res *LPResult) []float64 {
 	W := make([]float64, in.nT)
 	for ci := range in.classes {
-		for s, sig := range in.classes[ci].sigs {
-			d := res.RowDuals[ci][s]
+		sigs, duals := in.classes[ci].sigs, res.RowDuals[ci]
+		for s := range sigs {
+			d := duals[s]
 			if d == 0 {
 				continue
 			}
-			dd := d * sig.delta
-			for t, p := range sig.probs {
-				if p != 0 {
-					W[t] += dd * p
-				}
+			dd := d * sigs[s].delta
+			for _, tp := range sigs[s].nz {
+				W[tp.t] += dd * tp.p
 			}
 		}
 	}

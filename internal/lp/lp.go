@@ -14,6 +14,12 @@
 // across solves so a caller solving thousands of small LPs allocates
 // almost nothing.
 //
+// The tableau is stored dense but pivoted sparse: a pivot updates each
+// row it touches (those with a nonzero in the entering column) only at
+// the pivot row's nonzero columns, so it costs (touched rows) ×
+// (pivot-row nonzeros), not m × (n+m). A restricted master's pivot rows
+// are mostly zeros.
+//
 // Pricing is Dantzig's rule, switching to Bland's rule after a stall
 // window of non-improving pivots; the ratio test breaks ties
 // lexicographically. Neither is a termination proof here: the ratio
@@ -87,7 +93,9 @@ type Result struct {
 	X, Y  []float64
 	Basis []int
 	// Iterations is the total number of pivots across both phases,
-	// warm-start install and repair pivots included.
+	// warm-start install and repair pivots included, also those of a
+	// warm start that failed its repair and was discarded for the cold
+	// start.
 	Iterations int
 }
 
@@ -126,6 +134,8 @@ type Workspace struct {
 	ties    []int     // the ratio test's tied rows
 	claimed []bool    // warmInstall: rows already holding a target
 	want    []bool    // warmInstall: target columns
+	nzCol   []int     // pivot: the pivot row's nonzero columns
+	nzVal   []float64 // pivot: their scaled values
 	x, y    []float64 // results
 }
 
@@ -164,6 +174,8 @@ func (w *Workspace) Reset(m, n int) {
 	w.blocked = grow(w.blocked, n+m)
 	w.claimed = grow(w.claimed, m)
 	w.want = grow(w.want, n+m)
+	w.nzCol = grow(w.nzCol, n+m)
+	w.nzVal = grow(w.nzVal, n+m)
 	w.x = grow(w.x, n)
 	w.y = grow(w.y, m)
 }

@@ -1,0 +1,405 @@
+package lp
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// densePivot is the full-row pivot that pivot replaced, kept as the
+// reference it must match: it scales every entry of row r and updates
+// every entry of each row with a nonzero in the entering column, and
+// of the reduced-cost row.
+func densePivot(w *Workspace, r, enter int) {
+	rowR := w.row(r)
+	inv := 1 / rowR[enter]
+	for j := range rowR {
+		rowR[j] *= inv
+	}
+	w.rhs[r] *= inv
+	rowR[enter] = 1 // exact
+
+	for i := 0; i < w.m; i++ {
+		if i == r {
+			continue
+		}
+		rowI := w.row(i)
+		f := rowI[enter]
+		if f == 0 {
+			continue
+		}
+		for j := range rowI {
+			rowI[j] -= f * rowR[j]
+		}
+		rowI[enter] = 0 // exact
+		w.rhs[i] -= f * w.rhs[r]
+		if w.rhs[i] < 0 && w.rhs[i] > -eps {
+			w.rhs[i] = 0
+		}
+	}
+
+	f := w.cbar[enter]
+	if f != 0 {
+		for j := range w.cbar {
+			w.cbar[j] -= f * rowR[j]
+		}
+		w.cbar[enter] = 0
+		w.z += f * w.rhs[r]
+	}
+
+	w.inb[w.basis[r]] = false
+	w.basis[r] = enter
+	w.inb[enter] = true
+}
+
+// twin is a problem loaded into two workspaces that take the same pivot
+// sequence, one through pivot and one through densePivot.
+type twin struct {
+	w, ref   *Workspace
+	pivots   int // pivots taken
+	negative int // pivots on a negative element (warm install and repair)
+	purged   int // pivots that drove an artificial out after phase 1
+	// discarded reports that the warm start failed its repair.
+	discarded bool
+	err       error
+}
+
+// cloneProblem returns a fresh workspace holding the problem written
+// into w.
+func cloneProblem(w *Workspace) *Workspace {
+	c := new(Workspace)
+	c.Reset(w.m, w.n)
+	copy(c.A, w.A)
+	copy(c.B, w.B)
+	copy(c.C, w.C)
+	copy(c.Crash, w.Crash)
+	return c
+}
+
+// both applies f to the two workspaces.
+func (tw *twin) both(f func(*Workspace)) { f(tw.w); f(tw.ref) }
+
+// pivot takes one pivot on both workspaces and compares them.
+func (tw *twin) pivot(r, enter int) {
+	if tw.err != nil {
+		return
+	}
+	if tw.w.at(r, enter) < 0 {
+		tw.negative++
+	}
+	tw.w.pivot(r, enter)
+	densePivot(tw.ref, r, enter)
+	tw.pivots++
+	if err := sameTableau(tw.w, tw.ref); err != nil {
+		tw.err = fmt.Errorf("pivot %d (row %d, column %d): %w", tw.pivots, r, enter, err)
+	}
+}
+
+// sameTableau compares every tableau entry, basic value and reduced
+// cost and the objective by value, so −0 and +0 count as equal, and
+// the bases exactly.
+func sameTableau(w, ref *Workspace) error {
+	m, n := w.m, w.n
+	for k, v := range w.tab[:m*(n+m)] {
+		if v != ref.tab[k] {
+			return fmt.Errorf("tableau (%d, %d) = %v, dense %v", k/(n+m), k%(n+m), v, ref.tab[k])
+		}
+	}
+	for i, v := range w.rhs[:m] {
+		if v != ref.rhs[i] {
+			return fmt.Errorf("rhs[%d] = %v, dense %v", i, v, ref.rhs[i])
+		}
+		if w.basis[i] != ref.basis[i] {
+			return fmt.Errorf("basis[%d] = %d, dense %d", i, w.basis[i], ref.basis[i])
+		}
+	}
+	for j, v := range w.cbar[:n+m] {
+		if v != ref.cbar[j] {
+			return fmt.Errorf("cbar[%d] = %v, dense %v", j, v, ref.cbar[j])
+		}
+	}
+	if w.z != ref.z {
+		return fmt.Errorf("z = %v, dense %v", w.z, ref.z)
+	}
+	return nil
+}
+
+// run takes Solve's pivot sequence — warm install and repair, the
+// reload when the repair fails, phase 1, the artificial purge and phase
+// 2 — choosing each pivot on the sparse side and taking it on both.
+// It returns Solve's status.
+func (tw *twin) run(o Options) Status {
+	w := tw.w
+	m, n := w.m, w.n
+	if o.MaxIter == 0 {
+		o.MaxIter = 200 * (m + n + 10)
+	}
+	tw.both(func(x *Workspace) {
+		x.load()
+		clear(x.phase1[:n])
+		for j := n; j < n+m; j++ {
+			x.phase1[j] = 1
+		}
+	})
+	if len(o.Warm) > 0 {
+		tw.both(func(x *Workspace) { x.setObjective(x.phase1) })
+		tw.warmInstall(o.Warm)
+		if !tw.warmRepair() {
+			tw.discarded = true
+			tw.both((*Workspace).load)
+		}
+	}
+	tw.both(func(x *Workspace) { x.setObjective(x.phase1) })
+	if tw.iterate(o, true) == IterationLimit {
+		return IterationLimit
+	}
+	if w.artificialMass() > math.Sqrt(eps) {
+		return Infeasible
+	}
+	for i := 0; i < m; i++ {
+		if w.basis[i] < n {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if !w.inb[j] && math.Abs(w.at(i, j)) > math.Sqrt(eps) {
+				tw.pivot(i, j)
+				tw.purged++
+				break
+			}
+		}
+	}
+	tw.both(func(x *Workspace) {
+		copy(x.phase2[:n], x.C)
+		clear(x.phase2[n:])
+		x.setObjective(x.phase2)
+	})
+	return tw.iterate(o, false)
+}
+
+// warmInstall is Workspace.warmInstall's row choice.
+func (tw *twin) warmInstall(desired []int) {
+	w := tw.w
+	clear(w.claimed)
+	clear(w.want)
+	for _, j := range desired {
+		if j >= 0 && j < w.n {
+			w.want[j] = true
+		}
+	}
+	for i, bj := range w.basis {
+		if bj < w.n && w.want[bj] {
+			w.claimed[i] = true
+		}
+	}
+	for _, j := range desired {
+		if j < 0 || j >= w.n || w.inb[j] {
+			continue
+		}
+		best, row := warmInstallTol, -1
+		for i := 0; i < w.m; i++ {
+			if v := math.Abs(w.at(i, j)); !w.claimed[i] && v > best {
+				best, row = v, i
+			}
+		}
+		if row >= 0 {
+			tw.pivot(row, j)
+			w.claimed[row] = true
+		}
+	}
+}
+
+// warmRepair is Workspace.warmRepair's pivot choice.
+func (tw *twin) warmRepair() bool {
+	w := tw.w
+	for k := 0; k < 2*w.m+16; k++ {
+		row, worst := -1, -eps
+		for i := 0; i < w.m; i++ {
+			if w.rhs[i] < worst {
+				worst, row = w.rhs[i], i
+			}
+		}
+		if row < 0 {
+			return true
+		}
+		best, enter := pivotTol, -1
+		for j := 0; j < w.n; j++ {
+			if v := -w.at(row, j); !w.inb[j] && v > best {
+				best, enter = v, j
+			}
+		}
+		if enter < 0 {
+			return false
+		}
+		tw.pivot(row, enter)
+	}
+	return false
+}
+
+// iterate is Workspace.iterate's pivot choice.
+func (tw *twin) iterate(o Options, phase1 bool) Status {
+	w := tw.w
+	bland, stall, lastZ := o.Bland, 0, w.z
+	for iter := 0; iter < o.MaxIter; iter++ {
+		enter := w.chooseEntering(bland, phase1)
+		if enter < 0 {
+			return Optimal
+		}
+		leave := w.chooseLeaving(enter)
+		if leave < 0 {
+			if w.maxColumnEntry(enter) <= 0 {
+				return Unbounded
+			}
+			tw.both(func(x *Workspace) { x.blocked[enter] = true })
+			continue
+		}
+		tw.pivot(leave, enter)
+		tw.both(func(x *Workspace) { clear(x.blocked) })
+		if w.z < lastZ-eps {
+			lastZ, stall, bland = w.z, 0, o.Bland
+		} else if stall++; stall > 64 {
+			bland = true
+		}
+	}
+	return IterationLimit
+}
+
+// Lockstep is the outcome of CheckPivotLockstep: Solve's own result on
+// the problem, the pivots the lockstep took, how many of them were on a
+// negative element, and whether the warm start was discarded.
+type Lockstep struct {
+	Result
+	Pivots, Negative int
+	Discarded        bool
+}
+
+// CheckPivotLockstep takes the pivot sequence of Solve(o) on the problem
+// written into w through pivot and densePivot at once, comparing the
+// two tableaus after every pivot, and checks that Solve itself ends
+// with the same status, basis and pivot count. Result.Iterations leaves
+// out the pivots of the artificial purge between the phases, so the
+// count is compared without them. It leaves w solved.
+func CheckPivotLockstep(w *Workspace, o Options) (Lockstep, error) {
+	tw := &twin{w: cloneProblem(w), ref: cloneProblem(w)}
+	st := tw.run(o)
+	if tw.err != nil {
+		return Lockstep{}, tw.err
+	}
+	ls := Lockstep{Result: w.Solve(o), Pivots: tw.pivots, Negative: tw.negative, Discarded: tw.discarded}
+	if ls.Status != st {
+		return ls, fmt.Errorf("lockstep ended %v, Solve %v", st, ls.Status)
+	}
+	if st != Optimal {
+		return ls, nil
+	}
+	if ls.Iterations != tw.pivots-tw.purged {
+		return ls, fmt.Errorf("lockstep took %d pivots (%d purging artificials), Solve %d", tw.pivots, tw.purged, ls.Iterations)
+	}
+	for i, bj := range ls.Basis {
+		if tw.w.basis[i] != bj {
+			return ls, fmt.Errorf("lockstep basis[%d] = %d, Solve's %d", i, tw.w.basis[i], bj)
+		}
+	}
+	return ls, nil
+}
+
+// degenerateCase is a random LP with many zero right-hand sides: rows
+// of ≤ 0 constraints over sparse, mixed-sign coefficients, a few ≥ and
+// = rows, and a capping row, so phase 1, degenerate pivots and the
+// blocked-column path all run.
+func degenerateCase(rng *rand.Rand, nVars, nRows int) lpCase {
+	lc := lpCase{c: make([]float64, nVars)}
+	for j := range lc.c {
+		lc.c[j] = float64(rng.Intn(9) - 4)
+	}
+	for r := 0; r < nRows; r++ {
+		coef := make([]float64, nVars)
+		for j := range coef {
+			if rng.Intn(3) == 0 {
+				coef[j] = float64(rng.Intn(9)-4) + 0.5*rng.Float64()
+			}
+		}
+		rel, rhs := le, 0.0
+		switch rng.Intn(6) {
+		case 0:
+			rel, rhs = ge, float64(rng.Intn(3))
+		case 1:
+			rel, rhs = eq, float64(rng.Intn(2))
+		case 2:
+			rhs = float64(rng.Intn(4))
+		}
+		lc.rows = append(lc.rows, row{coef, rel, rhs})
+	}
+	lc.rows = append(lc.rows, row{ones(nVars), le, 10})
+	return lc
+}
+
+// TestPivotMatchesDenseOnRandomLPs takes every solve's pivot sequence
+// through the sparse and the dense pivot at once on random degenerate
+// LPs and random matrix games, cold and then warm-started from the
+// basis of the same problem before a perturbation (the warm install and
+// repair pivot on negative elements).
+func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
+	var pivots, negative, discarded int
+	check := func(name string, w *Workspace, o Options) []int {
+		t.Helper()
+		ls, err := CheckPivotLockstep(w, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pivots += ls.Pivots
+		negative += ls.Negative
+		if ls.Discarded {
+			discarded++
+		}
+		if ls.Status != Optimal {
+			return nil
+		}
+		return append([]int(nil), ls.Basis...)
+	}
+	rng := rand.New(rand.NewSource(2005))
+	for trial := 0; trial < 300; trial++ {
+		lc := degenerateCase(rng, 4+rng.Intn(12), 3+rng.Intn(12))
+		var w Workspace
+		lc.write(&w)
+		cold := check(fmt.Sprintf("trial %d, cold", trial), &w, Options{})
+		if cold == nil {
+			continue
+		}
+		for i := range lc.rows {
+			for j, a := range lc.rows[i].coef {
+				if a != 0 {
+					lc.rows[i].coef[j] += 0.3 * rng.NormFloat64()
+				}
+			}
+		}
+		lc.write(&w)
+		check(fmt.Sprintf("trial %d, warm", trial), &w, Options{Warm: cold})
+	}
+	for trial := int64(0); trial < 40; trial++ {
+		nStrats, nRows := 10+int(trial%7)*3, 8+int(trial%5)*4
+		var w Workspace
+		randomGame(rand.New(rand.NewSource(trial)), nStrats, nRows, 0).write(&w)
+		cold := check(fmt.Sprintf("game %d, cold", trial), &w, Options{})
+		randomGame(rand.New(rand.NewSource(trial)), nStrats, nRows, 0.2).write(&w)
+		check(fmt.Sprintf("game %d, warm", trial), &w, Options{Warm: cold})
+	}
+	if negative == 0 || discarded == 0 {
+		t.Fatalf("%d pivots, %d on a negative element, %d warm starts discarded: want both paths", pivots, negative, discarded)
+	}
+	t.Logf("%d pivots, %d on a negative element, %d warm starts discarded", pivots, negative, discarded)
+}
+
+// TestPivotDoesNotAllocate checks that the pivot's gather scratch
+// belongs to the workspace.
+func TestPivotDoesNotAllocate(t *testing.T) {
+	var w Workspace
+	randomGame(rand.New(rand.NewSource(1)), 30, 30, 0).write(&w)
+	allocs := testing.AllocsPerRun(20, func() {
+		w.load()
+		w.pivot(w.m-1, 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("a pivot allocates %v times", allocs)
+	}
+}

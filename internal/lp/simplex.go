@@ -68,14 +68,14 @@ func (w *Workspace) Solve(o Options) Result {
 	// phases below run exactly as they would from the crash basis — just
 	// from a vertex near the old optimum. If the warm basis turns out
 	// singular or the repair fails, reload the tableau and start cold: a
-	// warm start may only cost time, never correctness.
+	// warm start may only cost time, never correctness. Its pivots count
+	// either way.
 	if len(o.Warm) > 0 {
 		w.setObjective(w.phase1) // pivots maintain cbar/z; install under phase-1 costs
 		it := w.warmInstall(o.Warm)
 		rep, ok := w.warmRepair()
-		if ok {
-			res.Iterations += it + rep
-		} else {
+		res.Iterations += it + rep
+		if !ok {
 			w.load()
 		}
 	}
@@ -430,12 +430,31 @@ func (w *Workspace) lexLess(i, r, enter int) bool {
 }
 
 // pivot makes column enter basic in row r.
+//
+// The pivot row is scaled once, and its nonzeros (column enter aside)
+// are gathered into nzCol/nzVal on the way; every other row with a
+// nonzero entry in the entering column, and the reduced-cost row, is
+// then updated at those columns only. A master's pivot row is mostly
+// zeros, so this does (touched rows) × (pivot-row nonzeros) work rather
+// than (touched rows) × (n+m). Each nonzero entry sees exactly the
+// arithmetic of a full-row update. A zero entry is left as it is,
+// where a full-row x − f·(±0) could turn a −0 into +0. No pivot choice
+// or result can see that: the pivot rules and the lexicographic test
+// compare entries by value, and the duals come from the artificials'
+// reduced costs, which start at +0 or 1 and so are never −0.
 func (w *Workspace) pivot(r, enter int) {
 	rowR := w.row(r)
 	inv := 1 / rowR[enter]
-	for j := range rowR {
-		rowR[j] *= inv
+	nz := 0
+	for j, a := range rowR {
+		if a != 0 && j != enter {
+			a *= inv
+			rowR[j] = a
+			w.nzCol[nz], w.nzVal[nz] = j, a
+			nz++
+		}
 	}
+	cols, vals := w.nzCol[:nz], w.nzVal[:nz]
 	w.rhs[r] *= inv
 	rowR[enter] = 1 // exact
 
@@ -448,8 +467,8 @@ func (w *Workspace) pivot(r, enter int) {
 		if f == 0 {
 			continue
 		}
-		for j := range rowI {
-			rowI[j] -= f * rowR[j]
+		for k, j := range cols {
+			rowI[j] -= f * vals[k]
 		}
 		rowI[enter] = 0 // exact
 		w.rhs[i] -= f * w.rhs[r]
@@ -460,8 +479,8 @@ func (w *Workspace) pivot(r, enter int) {
 
 	f := w.cbar[enter]
 	if f != 0 {
-		for j := range w.cbar {
-			w.cbar[j] -= f * rowR[j]
+		for k, j := range cols {
+			w.cbar[j] -= f * vals[k]
 		}
 		w.cbar[enter] = 0
 		w.z += f * w.rhs[r]
