@@ -141,11 +141,15 @@ func (g *Game) Dists() []dist.Distribution {
 // thresholds b_t: the budget at which F_t(b_t/C_t) ≈ 1, i.e. the top of the
 // truncated count support times the audit cost (paper §III-B: "setting the
 // thresholds above such bounds would lead to negligible improvement").
+// The support top is floored at one alert: an attack raises its own alert
+// (Eq. 1's Z′_t = max(Z_t, 1)), so a type whose model raised none — a
+// point mass at 0 — still gets one audit instead of a zero cap that would
+// leave it never audited.
 func (g *Game) ThresholdCaps() []float64 {
 	caps := make([]float64, len(g.Types))
 	for t, at := range g.Types {
 		_, hi := at.Dist.Support()
-		caps[t] = float64(hi) * at.Cost
+		caps[t] = float64(max(hi, 1)) * at.Cost
 	}
 	return caps
 }

@@ -85,6 +85,45 @@ func TestThresholdCaps(t *testing.T) {
 	}
 }
 
+// TestThresholdCapsFloorAtOneAlert pins the caps of count models that
+// raise at most one alert. The attacker's own alert makes a bin hold at
+// least one, so a point mass at 0 is capped like a point mass at 1: one
+// audit, C_t, never 0.
+func TestThresholdCapsFloorAtOneAlert(t *testing.T) {
+	g := tinyGame()
+	g.Types[0].Dist, g.Types[0].Cost = dist.NewPoint(0), 1.5
+	g.Types[1].Dist, g.Types[1].Cost = dist.NewPoint(1), 0.7
+	caps := g.ThresholdCaps()
+	if len(caps) != 2 || caps[0] != 1.5 || caps[1] != 0.7 {
+		t.Errorf("caps = %v, want [1.5 0.7]", caps)
+	}
+}
+
+// TestThresholdCapsOfSilentWindow covers the serving path to a zero cap:
+// a tracker window in which a type raised no alert freezes to a point
+// mass at 0, whose cap must still buy one audit.
+func TestThresholdCapsOfSilentWindow(t *testing.T) {
+	est, err := dist.NewStreamEstimator(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		est.Observe(0)
+	}
+	d, err := est.SnapshotGaussian(0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := d.Support(); lo != 0 || hi != 0 {
+		t.Fatalf("silent window froze to support [%d, %d], want [0, 0]", lo, hi)
+	}
+	g := tinyGame()
+	g.Types[0].Dist = d
+	if caps := g.ThresholdCaps(); caps[0] != 1 {
+		t.Errorf("silent type's cap = %v, want 1", caps[0])
+	}
+}
+
 func TestPalDeterministicCounts(t *testing.T) {
 	// Z = (2,2), costs 1. Budget 3, thresholds (2,2), order (A,B):
 	// type A: avail 3, cap 2, z 2 → n=2, ratio 1. Spend min(2, 2)=2.

@@ -39,6 +39,12 @@ type LPResult struct {
 //	s.t. Σ_o p_o·Ua(o,b,⟨e,v⟩) − u_e ≤ 0     ∀e, ∀ distinct v-signature
 //	     u_e ≥ 0                              (when AllowNoAttack)
 //	     Σ_o p_o = 1,  p_o ≥ 0,  u_e free
+//
+// When the simplex stops short of an optimum, the error names its
+// status, the phase it stopped in, its pivots and the LP's size, and
+// the result is returned too, holding only Iterations, so a caller can
+// account for the failed solve's pivots. The same holds for
+// SolveFixedWarm and SolveFixedPals.
 func (in *Instance) SolveFixed(Q []Ordering, b Thresholds) (*LPResult, error) {
 	return in.solveFixed(Q, b, nil)
 }
@@ -73,11 +79,10 @@ func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis) (*
 
 // SolveFixedPals solves the restricted LP with the detection
 // probabilities already in hand — one pal vector of |T| entries per
-// ordering, as returned by PalGrid.Pals or PalBatchNoCache. Brute force visits each
-// threshold vector exactly once and comes through here, so its pal
-// vectors never enter the cache; it also skips the per-call
-// permutation validation of SolveFixed (the caller enumerated the
-// orderings).
+// ordering, as returned by PalGrid.Pals or PalBatchNoCache. Brute force
+// needs each pal table once and comes through here, so its pal vectors
+// never enter the cache; it also skips the per-call permutation
+// validation of SolveFixed (the caller enumerated the orderings).
 func (in *Instance) SolveFixedPals(Q []Ordering, pals [][]float64) (*LPResult, error) {
 	if len(Q) == 0 {
 		return nil, fmt.Errorf("game: SolveFixedPals needs at least one ordering")
@@ -181,7 +186,9 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 	sol := ws.Solve(lp.Options{Warm: warm.columns(Q, l)})
 	if sol.Status != lp.Optimal {
 		in.masters.Put(ws)
-		return nil, fmt.Errorf("game: restricted LP not optimal: %v", sol.Status)
+		return &LPResult{Iterations: sol.Iterations}, fmt.Errorf(
+			"game: restricted LP not optimal: %v in phase %d after %d pivots (m = %d rows, n = %d columns)",
+			sol.Status, sol.Phase, sol.Iterations, l.m, l.n)
 	}
 
 	// Copy out of the pooled workspace. A basic value can be −0 after a

@@ -95,8 +95,11 @@ type Result struct {
 	// Iterations is the total number of pivots across both phases,
 	// warm-start install and repair pivots included, also those of a
 	// warm start that failed its repair and was discarded for the cold
-	// start.
+	// start, and those that drive artificials out between the phases.
 	Iterations int
+	// Phase is the simplex phase the solve ended in: 1 for a phase-1
+	// iteration limit or an infeasible problem, 2 otherwise.
+	Phase int
 }
 
 // Workspace holds one standard-form problem and the simplex working set

@@ -384,20 +384,41 @@ func TestMatchingPenniesGameValue(t *testing.T) {
 	approx(t, "p2", sol.x[3], 0.5, 1e-8)
 }
 
+// TestIterationLimitStatus caps the pivots at one and checks what a
+// solve that stops short reports: the status, the phase it stopped in
+// and the pivots it took. The production problem starts feasible on its
+// slacks and stops in phase 2; the equality system needs two phase-1
+// pivots and stops in phase 1.
 func TestIterationLimitStatus(t *testing.T) {
-	sol := lpCase{
-		c: []float64{-3, -5},
-		rows: []row{
-			{[]float64{1, 0}, le, 4},
-			{[]float64{0, 2}, le, 12},
-			{[]float64{3, 2}, le, 18},
-		},
-	}.solve(Options{MaxIter: 1})
-	if sol.Status == Optimal {
-		t.Skip("solved within one pivot; nothing to assert")
-	}
-	if sol.Status != IterationLimit {
-		t.Fatalf("status = %v, want iteration-limit", sol.Status)
+	for _, c := range []struct {
+		name  string
+		lc    lpCase
+		phase int
+	}{
+		{"slack start", lpCase{
+			c: []float64{-3, -5},
+			rows: []row{
+				{[]float64{1, 0}, le, 4},
+				{[]float64{0, 2}, le, 12},
+				{[]float64{3, 2}, le, 18},
+			},
+		}, 2},
+		{"equalities", lpCase{
+			c: []float64{1, 1},
+			rows: []row{
+				{[]float64{1, 1}, eq, 2},
+				{[]float64{1, -1}, eq, 0},
+			},
+		}, 1},
+	} {
+		sol := c.lc.solve(Options{MaxIter: 1})
+		if sol.Status != IterationLimit || sol.Phase != c.phase || sol.Iterations != 1 {
+			t.Errorf("%s: %v in phase %d after %d pivots, want iteration-limit in phase %d after 1",
+				c.name, sol.Status, sol.Phase, sol.Iterations, c.phase)
+		}
+		if full := c.lc.solve(Options{}); full.Status != Optimal || full.Phase != 2 {
+			t.Errorf("%s uncapped: %v in phase %d, want optimal in phase 2", c.name, full.Status, full.Phase)
+		}
 	}
 }
 

@@ -59,7 +59,6 @@ type twin struct {
 	w, ref   *Workspace
 	pivots   int // pivots taken
 	negative int // pivots on a negative element (warm install and repair)
-	purged   int // pivots that drove an artificial out after phase 1
 	// discarded reports that the warm start failed its repair.
 	discarded bool
 	err       error
@@ -164,7 +163,6 @@ func (tw *twin) run(o Options) Status {
 		for j := 0; j < n; j++ {
 			if !w.inb[j] && math.Abs(w.at(i, j)) > math.Sqrt(eps) {
 				tw.pivot(i, j)
-				tw.purged++
 				break
 			}
 		}
@@ -276,9 +274,7 @@ type Lockstep struct {
 // CheckPivotLockstep takes the pivot sequence of Solve(o) on the problem
 // written into w through pivot and densePivot at once, comparing the
 // two tableaus after every pivot, and checks that Solve itself ends
-// with the same status, basis and pivot count. Result.Iterations leaves
-// out the pivots of the artificial purge between the phases, so the
-// count is compared without them. It leaves w solved.
+// with the same status, basis and pivot count. It leaves w solved.
 func CheckPivotLockstep(w *Workspace, o Options) (Lockstep, error) {
 	tw := &twin{w: cloneProblem(w), ref: cloneProblem(w)}
 	st := tw.run(o)
@@ -292,8 +288,8 @@ func CheckPivotLockstep(w *Workspace, o Options) (Lockstep, error) {
 	if st != Optimal {
 		return ls, nil
 	}
-	if ls.Iterations != tw.pivots-tw.purged {
-		return ls, fmt.Errorf("lockstep took %d pivots (%d purging artificials), Solve %d", tw.pivots, tw.purged, ls.Iterations)
+	if ls.Iterations != tw.pivots {
+		return ls, fmt.Errorf("lockstep took %d pivots, Solve %d", tw.pivots, ls.Iterations)
 	}
 	for i, bj := range ls.Basis {
 		if tw.w.basis[i] != bj {

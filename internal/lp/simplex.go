@@ -81,6 +81,7 @@ func (w *Workspace) Solve(o Options) Result {
 	}
 
 	// Phase 1: minimize the sum of artificials.
+	res.Phase = 1
 	w.setObjective(w.phase1)
 	st, it := w.iterate(o, true)
 	res.Iterations += it
@@ -99,9 +100,10 @@ func (w *Workspace) Solve(o Options) Result {
 	}
 	// Drive any artificials that linger in the basis at zero level out,
 	// or drop their rows if the row is redundant.
-	w.purgeArtificials()
+	res.Iterations += w.purgeArtificials()
 
 	// Phase 2: minimize the true objective.
+	res.Phase = 2
 	copy(w.phase2[:n], w.C)
 	clear(w.phase2[n:])
 	w.setObjective(w.phase2)
@@ -496,7 +498,9 @@ func (w *Workspace) pivot(r, enter int) {
 // entry in that row. Rows with no such column are linearly dependent and
 // are neutralized (the artificial stays basic at 0; it can never leave and
 // never affects phase 2 because its row is all-zero on structural columns).
-func (w *Workspace) purgeArtificials() {
+// It returns the number of pivots it took.
+func (w *Workspace) purgeArtificials() int {
+	pivots := 0
 	for i := 0; i < w.m; i++ {
 		if w.basis[i] < w.n {
 			continue
@@ -507,8 +511,10 @@ func (w *Workspace) purgeArtificials() {
 			}
 			if math.Abs(w.at(i, j)) > math.Sqrt(eps) {
 				w.pivot(i, j)
+				pivots++
 				break
 			}
 		}
 	}
+	return pivots
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"auditgame"
+	"auditgame/internal/fault"
 )
 
 // solvedAuditor returns a session bound to Syn A with a policy installed.
@@ -350,10 +351,17 @@ func TestSolveJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestSolveJobDeadline runs the scaled slow solve with a request-level
-// deadline and expects the job to end cancelled, well before a full
-// solve could finish.
-func TestSolveJobDeadline(t *testing.T) {
+// slowSolvePlan sleeps 50 ms at the start of every column-generation
+// pricing round, so the 48-type solve below stays in flight for seconds
+// however fast the solver itself is.
+var slowSolvePlan = fault.Plan{Seed: 1, Rules: []fault.Rule{
+	{Point: fault.SolverPricingRound, Mode: fault.ModeLatency, Prob: 1, Latency: 50 * time.Millisecond},
+}}
+
+// slowSolveAuditor is a session whose CGGS solve of a 48-type scaled
+// game runs many pricing rounds.
+func slowSolveAuditor(t *testing.T) *auditgame.Auditor {
+	t.Helper()
 	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
 		Workload:       "scaled",
 		Scale:          auditgame.WorkloadScale{Entities: 2000, AlertTypes: 48, Seed: 5},
@@ -364,7 +372,17 @@ func TestSolveJobDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+// TestSolveJobDeadline runs the slow solve with a request-level
+// deadline and expects the job to end cancelled, well before a full
+// solve could finish.
+func TestSolveJobDeadline(t *testing.T) {
+	a := slowSolveAuditor(t)
 	_, ts := newTestServer(t, Config{Auditor: a})
+	fault.Enable(slowSolvePlan)
+	defer fault.Disable()
 
 	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{TimeoutSeconds: 0.2})
 	if resp.StatusCode != http.StatusAccepted {
@@ -383,26 +401,26 @@ func TestSolveJobDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveJobExplicitCancel cancels a running job via DELETE.
+// TestSolveJobExplicitCancel cancels a running job via DELETE, sent
+// once the solve has reached its first pricing round.
 func TestSolveJobExplicitCancel(t *testing.T) {
-	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
-		Workload:       "scaled",
-		Scale:          auditgame.WorkloadScale{Entities: 2000, AlertTypes: 48, Seed: 5},
-		BudgetFraction: 0.1,
-		Method:         auditgame.MethodCGGS,
-		Source:         auditgame.SourceOptions{BankSize: 512, Seed: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := slowSolveAuditor(t)
 	_, ts := newTestServer(t, Config{Auditor: a})
+	fault.Enable(slowSolvePlan)
+	defer fault.Disable()
 
 	_, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{})
 	var jr JobResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	deadline := time.Now().Add(30 * time.Second)
+	for fault.Snapshot().For(fault.SolverPricingRound).Hits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("solve job never reached its first pricing round")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/solve/%s", ts.URL, jr.JobID), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -111,6 +111,28 @@ func TestDriftBeatsStaticOnStep(t *testing.T) {
 	}
 }
 
+// TestBurstOutageNeverBeatsTheReference is the regression test for a
+// type that goes silent: the burst scenario's outage silences one alert
+// type, and the reference solve on the true model used to cap its
+// threshold at 0 and never audit it, so every strategy showed periods of
+// negative regret. With the one-alert cap floor no period may.
+func TestBurstOutageNeverBeatsTheReference(t *testing.T) {
+	for _, strategy := range []Strategy{StrategyStatic, StrategyCron, StrategyDrift} {
+		for seed := int64(1); seed <= 3; seed++ {
+			res, err := Run(context.Background(), "burst", Options{Seed: seed, Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res.Points {
+				if p.Regret < -1e-9 {
+					t.Errorf("burst/%s seed %d: period %d regret %v (loss %v, reference %v)",
+						strategy, seed, p.Period, p.Regret, p.Loss, p.OptLoss)
+				}
+			}
+		}
+	}
+}
+
 // TestSeasonalBoundaryFires asserts the drift detector fires only at
 // the scheduled regime boundaries of the seasonal scenario: never
 // during the initial weekday stretch, and every firing within a few

@@ -84,7 +84,8 @@ type CGGSStats struct {
 	// Columns is the size of the final ordering pool (including the
 	// warm-start column).
 	Columns int `json:"columns"`
-	// MasterSolves counts restricted master LP solves.
+	// MasterSolves counts restricted master LP solves, a final one that
+	// stopped short of optimal included.
 	MasterSolves int `json:"master_solves"`
 	// Pivots is the cumulative simplex pivot count across all master
 	// solves.

@@ -9,6 +9,8 @@ import (
 	"auditgame/internal/fault"
 	"auditgame/internal/game"
 	"auditgame/internal/sample"
+	"auditgame/internal/telemetry"
+	"auditgame/internal/workload"
 )
 
 // TestPivotFaultContained injects a fault into the simplex pivot loop — a
@@ -236,5 +238,51 @@ func TestFaultDisabledLeavesResultsUntouched(t *testing.T) {
 	}
 	if a.Objective != bpol.Objective {
 		t.Fatalf("determinism broken: %v != %v", a.Objective, bpol.Objective)
+	}
+}
+
+// TestFailedSolveRecordsItsOwnStats stops a column-generation solve at
+// the start of its (k+1)-th pricing round and checks that Stats and
+// WarmStats describe that failed solve — k masters and their pivots, as
+// the traced clean solve's first k master spans count them — and not
+// the successful solve before it.
+func TestFailedSolveRecordsItsOwnStats(t *testing.T) {
+	in, b := oracleTestInstance(t, "scaled", workload.Scale{Entities: 200, AlertTypes: 8, Seed: 11}, 256)
+	tr := telemetry.NewTrace()
+	st := NewSolveState(CGGSOptions{})
+	if _, err := st.Solve(telemetry.WithTrace(context.Background(), tr), in, b); err != nil {
+		t.Fatal(err)
+	}
+	clean := st.Stats()
+	var masterPivots []int
+	for _, sp := range tr.Data().Spans {
+		if sp.Name == "cggs.master" {
+			masterPivots = append(masterPivots, int(sp.Value))
+		}
+	}
+	const k = 3
+	if clean.MasterSolves <= k || len(masterPivots) != clean.MasterSolves {
+		t.Fatalf("clean solve took %d masters (%d traced); the test needs more than %d",
+			clean.MasterSolves, len(masterPivots), k)
+	}
+	var want int
+	for _, p := range masterPivots[:k] {
+		want += p
+	}
+
+	fault.Enable(fault.Plan{Seed: 3, Rules: []fault.Rule{
+		{Point: fault.SolverPricingRound, Mode: fault.ModeError, Prob: 1, After: k, MaxFires: 1},
+	}})
+	defer fault.Disable()
+	if _, err := st.Solve(context.Background(), in, b); !fault.IsInjected(err) {
+		t.Fatalf("solve returned %v, want the injected fault", err)
+	}
+	got := st.Stats()
+	if got.MasterSolves != k || got.Pivots != want {
+		t.Fatalf("failed solve reports %d masters and %d pivots, want %d and %d (clean solve: %d and %d)",
+			got.MasterSolves, got.Pivots, k, want, clean.MasterSolves, clean.Pivots)
+	}
+	if ws := st.WarmStats(); ws.PricingRounds != k || ws.Warm {
+		t.Fatalf("failed cold solve reports %+v, want cold with %d pricing rounds", ws, k)
 	}
 }

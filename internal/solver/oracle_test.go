@@ -275,37 +275,3 @@ func TestOracleCacheBounded(t *testing.T) {
 		t.Fatal("incremental oracle reported zero prefix-checkpoint evaluations")
 	}
 }
-
-// TestBruteForceSweepMatchesPerPoint pins the grid-swept brute force
-// against the per-point path: identical optimum, thresholds, mixed
-// strategy (bitwise), and explored-point count.
-func TestBruteForceSweepMatchesPerPoint(t *testing.T) {
-	for _, budget := range []float64{1, 2.5, 4} {
-		swept, err := bruteForce(context.Background(), testInstance(t, budget), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pointwise, err := bruteForce(context.Background(), testInstance(t, budget), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if swept.Explored != pointwise.Explored || swept.GridSize != pointwise.GridSize {
-			t.Fatalf("B=%v: explored %d/%d (swept) vs %d/%d (per point)",
-				budget, swept.Explored, swept.GridSize, pointwise.Explored, pointwise.GridSize)
-		}
-		sp, pp := swept.Policy, pointwise.Policy
-		if math.Float64bits(sp.Objective) != math.Float64bits(pp.Objective) {
-			t.Fatalf("B=%v: objective %v (swept) vs %v (per point)", budget, sp.Objective, pp.Objective)
-		}
-		for i := range sp.Thresholds {
-			if sp.Thresholds[i] != pp.Thresholds[i] {
-				t.Fatalf("B=%v: thresholds %v vs %v", budget, sp.Thresholds, pp.Thresholds)
-			}
-		}
-		for i := range sp.Po {
-			if math.Float64bits(sp.Po[i]) != math.Float64bits(pp.Po[i]) {
-				t.Fatalf("B=%v: po[%d] = %v vs %v", budget, i, sp.Po[i], pp.Po[i])
-			}
-		}
-	}
-}

@@ -24,7 +24,9 @@ import (
 //   - the pool is a copy of the last solve's final column set, so the
 //     column cap bounds it across any number of refits.
 //   - state fields are replaced only on a successful solve; a
-//     cancelled or failed solve leaves the previous state intact.
+//     cancelled or failed solve leaves the previous state intact. The
+//     accounting (Stats, WarmStats) always describes the most recent
+//     solve, failed ones included.
 //
 // A SolveState is not safe for concurrent use; callers serialize
 // access (the Auditor holds its solve lock across Solve/Refit).
@@ -65,10 +67,12 @@ func NewSolveState(opts CGGSOptions) *SolveState {
 	return &SolveState{opts: opts, price: greedyOrderingIncremental}
 }
 
-// Stats returns the work accounting of the most recent solve.
+// Stats returns the work accounting of the most recent solve, also of
+// one that failed.
 func (st *SolveState) Stats() CGGSStats { return st.stats }
 
-// WarmStats returns the warm-start accounting of the most recent solve.
+// WarmStats returns the warm-start accounting of the most recent solve,
+// also of one that failed.
 func (st *SolveState) WarmStats() WarmStats { return st.warm }
 
 // Columns reports the current pool size.
@@ -102,10 +106,10 @@ func (st *SolveState) Solve(ctx context.Context, in *game.Instance, b game.Thres
 	if initial == nil {
 		initial = BenefitOrdering(in.G)
 	}
+	st.warm, st.stats = WarmStats{}, CGGSStats{}
 	if !initial.ValidPermutation(nT) {
 		return nil, fmt.Errorf("solver: initial ordering %v is not a permutation of %d types", initial, nT)
 	}
-	st.warm = WarmStats{}
 	return st.run(ctx, in, b, []game.Ordering{initial.Clone()}, nil)
 }
 
@@ -137,6 +141,16 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 	stats := CGGSStats{}
 	var oStats oracleStats
 	palEvals0 := in.PalEvals()
+	// Every exit, failed or not, records this solve's own accounting,
+	// so a solve that stops on an error still shows the work it did.
+	defer func() {
+		stats.Columns = len(Q)
+		stats.PalEvals = in.PalEvals() - palEvals0
+		stats.PrefixHits = oStats.prefixHits
+		stats.PrunedCandidates = oStats.pruned
+		st.stats = stats
+		st.warm.PricingRounds = stats.MasterSolves
+	}()
 	inQ := make(map[string]bool, len(Q))
 	for _, o := range Q {
 		inQ[o.Key()] = true
@@ -159,13 +173,15 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		var err error
 		sp := tr.StartSpan("cggs.master")
 		res, err = in.SolveFixedWarm(Q, b, basis)
+		if res != nil { // also a master that stopped short of optimal
+			sp.EndValue(int64(res.Iterations))
+			stats.MasterSolves++
+			stats.Pivots += res.Iterations
+		}
 		if err != nil {
 			return nil, err
 		}
-		sp.EndValue(int64(res.Iterations))
 		basis = res.Basis
-		stats.MasterSolves++
-		stats.Pivots += res.Iterations
 		if len(Q) >= opts.MaxColumns {
 			break
 		}
@@ -222,12 +238,5 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 	st.fingerprint = in.StructuralFingerprint()
 	st.thresholds = b.Clone()
 	st.valid = true
-
-	stats.Columns = len(Q)
-	stats.PalEvals = in.PalEvals() - palEvals0
-	stats.PrefixHits = oStats.prefixHits
-	stats.PrunedCandidates = oStats.pruned
-	st.stats = stats
-	st.warm.PricingRounds = stats.MasterSolves
 	return pol, nil
 }
