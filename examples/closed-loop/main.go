@@ -10,8 +10,9 @@
 // The run is repeated under the three refit strategies: static (solve
 // once, never refit — the paper's model), cron (refit on a timer), and
 // drift (refit when the PR 5 drift detector fires). The comparison is
-// the point of the loop: cumulative regret against the clairvoyant
-// per-day optimum, refit spend, and how fast the loop recovers after
+// the point of the loop: cumulative regret against a per-day reference
+// solve on the true model (one CGGS solve at its caps, a heuristic and
+// not an optimum), refit spend, and how fast the loop recovers after
 // the flip.
 //
 //	go run ./examples/closed-loop

@@ -169,7 +169,7 @@ func newEmpirical(counts []int) (Distribution, error) {
 			hi = c
 		}
 	}
-	if hi-lo+1 > maxSupportBins {
+	if hi-lo >= maxSupportBins { // hi−lo+1 would overflow at hi−lo = MaxInt
 		return nil, fmt.Errorf("dist: empirical count range [%d, %d] exceeds %d bins", lo, hi, maxSupportBins)
 	}
 	weights := make([]float64, hi-lo+1)
@@ -234,7 +234,7 @@ func newGaussianHalfWidth(mean, std float64, halfWidth int) (Distribution, error
 	if halfWidth < 0 {
 		return nil, fmt.Errorf("dist: gaussian half-width %d must be non-negative", halfWidth)
 	}
-	if 2*halfWidth+1 > maxSupportBins {
+	if halfWidth > (maxSupportBins-1)/2 { // 2·halfWidth+1 would overflow for huge halfWidth
 		return nil, fmt.Errorf("dist: gaussian half-width %d exceeds %d bins", halfWidth, maxSupportBins)
 	}
 	center := int(math.Round(mean))

@@ -293,6 +293,10 @@ func TestSpecBuildRejectsUnrepresentable(t *testing.T) {
 		{Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 1 << 30}, // half-width beyond the bin cap
 		{Kind: "poisson", Lambda: 1e9, Coverage: 0.999},         // lambda beyond the bin cap
 		{Kind: "empirical", Counts: []int{0, 2_000_000_000}},    // count range beyond the bin cap
+		// Sizes whose bin count overflows int: the checks once wrapped
+		// around, passed, and make panicked.
+		{Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 1 << 62},
+		{Kind: "empirical", Counts: []int{0, math.MaxInt}},
 	}
 	for _, s := range bad {
 		func() {
@@ -389,4 +393,59 @@ func TestStreamEstimatorSnapshotTracksWindow(t *testing.T) {
 	if math.Abs(d.Mean()-6) > 0.2 {
 		t.Fatalf("snapshot mean = %v, want ≈ 6", d.Mean())
 	}
+}
+
+// FuzzSpecBuild checks that Build never panics on a decoded spec, and
+// that an accepted spec round-trips through JSON to the same table and
+// has a PMF summing to 1 over its support.
+func FuzzSpecBuild(f *testing.F) {
+	for _, s := range []string{
+		`{"kind":"gaussian","mean":6,"std":2,"coverage":0.995}`,
+		`{"kind":"gaussian","mean":6,"std":2,"half_width":5}`,
+		`{"kind":"gaussian","mean":6,"std":2,"half_width":4611686018427387904}`,
+		`{"kind":"poisson","lambda":3,"coverage":0.999}`,
+		`{"kind":"empirical","counts":[4,6,5,5]}`,
+		`{"kind":"empirical","counts":[0,9223372036854775807]}`,
+		`{"kind":"point","n":2}`,
+		`{"kind":"soliton","n":40}`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		var s Spec
+		if json.Unmarshal([]byte(in), &s) != nil {
+			return
+		}
+		d, err := s.Build()
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", s, err)
+		}
+		var back Spec
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", raw, err)
+		}
+		d2, err := back.Build()
+		if err != nil {
+			t.Fatalf("round-tripped spec %s rejected: %v", raw, err)
+		}
+		lo, hi := d.Support()
+		if lo2, hi2 := d2.Support(); lo2 != lo || hi2 != hi {
+			t.Fatalf("%s: support [%d, %d] round-trips to [%d, %d]", raw, lo, hi, lo2, hi2)
+		}
+		var sum float64
+		for n := lo; n <= hi; n++ {
+			p := d.PMF(n)
+			if math.Float64bits(p) != math.Float64bits(d2.PMF(n)) {
+				t.Fatalf("%s: PMF(%d) = %v round-trips to %v", raw, n, p, d2.PMF(n))
+			}
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("%s: PMF sums to %v over [%d, %d]", raw, sum, lo, hi)
+		}
+	})
 }

@@ -139,6 +139,11 @@ type Instance struct {
 	// across solves: brute force's grid, Exact under parallel ISHM
 	// workers and every CGGS round reuse their storage.
 	masters sync.Pool
+	// pricers pools PrefixPricers and their per-step scratch across
+	// pricing rounds; deltas memoizes their short-prefix deltas across
+	// the solves sharing the instance (prefix.go).
+	pricers sync.Pool
+	deltas  deltaMemo
 
 	// Detection-probability engine state (engine.go): interned ordering
 	// and threshold IDs plus a sharded result cache, so concurrent

@@ -256,6 +256,18 @@ func (in *Instance) Pal(o Ordering, b Thresholds) []float64 {
 	return pal
 }
 
+// CachePal caches pal as Pal(o, b) and counts it in PalEvals when it is
+// new, as PalBatch counts a miss. pal must be that vector bit for bit —
+// the greedy oracle hands over the vector its PrefixPricer composed for
+// a column entering the pool (DESIGN.md P6) — and becomes shared cache
+// state, so the next master's PalBatch reads it instead of walking the
+// column again.
+func (in *Instance) CachePal(o Ordering, b Thresholds, pal []float64) {
+	if in.cachePut(palKey(in.orderings.intern(o), in.thresholds.intern(b)), pal) {
+		in.palEvals.Add(1)
+	}
+}
+
 // PalBatch returns Pal(o,b) for every ordering in os, evaluating all
 // cache misses together in a single pass over the realization matrix.
 // Row k of the result corresponds to os[k]; rows are shared cache entries
@@ -294,11 +306,11 @@ func (in *Instance) PalBatch(os []Ordering, b Thresholds) [][]float64 {
 // PalBatchNoCache evaluates the orderings like PalBatch but never grows
 // the cache or the intern tables: already-cached entries are still
 // served (read-through), misses are computed and returned without being
-// stored. The pricing oracle's partial orderings are evaluated once and
-// never looked up again — caching ~|T|²/2 of them per generated column
-// only bloats the tables. Returned miss rows are freshly allocated and
-// owned by the caller; hit rows are shared cache entries and must not be
-// mutated.
+// stored. Caching the pricing oracle's ~|T|²/2 partial orderings per
+// generated column would only bloat the tables; the deltas they repeat
+// are memoized below the cache instead (DESIGN.md P6). Returned miss
+// rows are freshly allocated and owned by the caller; hit rows are
+// shared cache entries and must not be mutated.
 func (in *Instance) PalBatchNoCache(os []Ordering, b Thresholds) [][]float64 {
 	out := make([][]float64, len(os))
 	var missIdx []int
@@ -438,9 +450,10 @@ func (in *Instance) workerCount(nUnits, work int) int {
 	return w
 }
 
-// PalEvals returns the number of uncached Pal computations performed,
-// used by the instrumentation in Table VII-style accounting and the
-// estimator ablations.
+// PalEvals returns the number of uncached Pal computations performed —
+// a vector a pricer composed and CachePal stored counts as one — used by
+// the instrumentation in Table VII-style accounting and the estimator
+// ablations.
 func (in *Instance) PalEvals() int {
 	return int(in.palEvals.Load())
 }

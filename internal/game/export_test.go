@@ -44,3 +44,13 @@ func ReplayMasters(in *Instance, Q []Ordering, first int, b Thresholds, from *Ma
 // they replaced (see signatureDiff), for the workload tests in package
 // game_test.
 func SignatureDiff(in *Instance, seed int64) error { return signatureDiff(in, seed) }
+
+// DeltaMemoSize returns the number of short-prefix deltas memoized on
+// in, for the memo tests in package game_test.
+func DeltaMemoSize(in *Instance) int { return in.deltas.size() }
+
+func (dm *deltaMemo) size() int {
+	dm.mu.RLock()
+	defer dm.mu.RUnlock()
+	return len(dm.m)
+}

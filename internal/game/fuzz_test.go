@@ -38,6 +38,13 @@ func FuzzDecodeJSON(f *testing.F) {
 	f.Add(`{"types": [{"name":"A","cost":1,"dist":{"kind":"point","n":1}}],
 	       "entities":[{"name":"e","p_attack":1}],"victims":["v"],
 	       "attacks":[[{"type":1,"benefit":1,"penalty":1,"cost":1}]]}`)
+	// Dist sizes whose bin count overflows int once made Build panic.
+	f.Add(`{"types": [{"name":"A","cost":1,"dist":{"kind":"gaussian","mean":6,"std":2,"half_width":4611686018427387904}}],
+	       "entities":[{"name":"e","p_attack":1}],"victims":["v"],
+	       "attacks":[[{"type":0,"benefit":1,"penalty":1,"cost":1}]]}`)
+	f.Add(`{"types": [{"name":"A","cost":1,"dist":{"kind":"empirical","counts":[0,9223372036854775807]}}],
+	       "entities":[{"name":"e","p_attack":1}],"victims":["v"],
+	       "attacks":[[{"type":0,"benefit":1,"penalty":1,"cost":1}]]}`)
 	f.Fuzz(func(t *testing.T, s string) {
 		g, err := DecodeJSON(strings.NewReader(s))
 		if err != nil {

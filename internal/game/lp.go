@@ -296,9 +296,10 @@ type ExtendOutcome struct {
 	BestType  int
 	BestRC    float64
 	BestDelta float64
-	// Evaluated counts candidates priced incrementally from the prefix
-	// checkpoint; Pruned counts candidates discarded on bounds alone,
-	// without touching the realization matrix.
+	// Evaluated counts candidates whose delta was priced: read from the
+	// short-prefix delta memo at O(1), or evaluated from the prefix
+	// checkpoint at O(rows). Pruned counts candidates discarded on
+	// bounds alone, without touching the realization matrix.
 	Evaluated int
 	Pruned    int
 }
@@ -329,7 +330,10 @@ func (in *Instance) ExtendReducedCosts(res *LPResult, pp *PrefixPricer, cands []
 	// Margin-lowered lower bounds: rc(prefix+t) = rcPrefix − W[t]·Δ_t in
 	// exact arithmetic with Δ_t ∈ [0, ub[t]], so rc is at least
 	// rcPrefix − max(0, W[t])·ub[t] minus the reassociation slack.
-	lo := make([]float64, len(cands))
+	if len(cands) > cap(pp.lo) { // only a candidate listed twice gets here
+		pp.lo, pp.rest = make([]float64, len(cands)), make([]int, 0, len(cands))
+	}
+	lo := pp.lo[:len(cands)]
 	seedJ := 0
 	for j, t := range cands {
 		wt := W[t]
@@ -367,7 +371,7 @@ func (in *Instance) ExtendReducedCosts(res *LPResult, pp *PrefixPricer, cands []
 	}
 
 	eval(cands[seedJ : seedJ+1])
-	rest := make([]int, 0, len(cands)-1)
+	rest := pp.rest[:0]
 	for j, t := range cands {
 		if j == seedJ {
 			continue

@@ -119,3 +119,39 @@ func TestPalBatchNoCacheBypassesCache(t *testing.T) {
 			pals0, pals1, ords0, ords1, thrs0, thrs1)
 	}
 }
+
+// TestDeltaMemoBounded fills the delta memo past its cap and checks it
+// is cleared rather than grown, and that it serves what it holds.
+func TestDeltaMemoBounded(t *testing.T) {
+	var dm deltaMemo
+	var key deltaKey
+	for i := range key {
+		key[i].t = -1
+	}
+	cands := make([]int, 1024)
+	bits := make([]uint64, len(cands))
+	deltas := make([]float64, len(cands))
+	miss := make([]int, len(cands))
+	for j := range cands {
+		cands[j], miss[j] = j, j
+	}
+	for round := 0; round < deltaMemoMax/len(cands)+3; round++ {
+		for j := range bits {
+			bits[j] = uint64(round)
+			deltas[j] = float64(round*len(cands) + j)
+		}
+		dm.store(key, 0, cands, bits, deltas, miss)
+		if n := dm.size(); n > deltaMemoMax {
+			t.Fatalf("round %d: memo holds %d deltas, cap %d", round, n, deltaMemoMax)
+		}
+		got := make([]float64, len(cands))
+		if left := dm.lookup(key, 0, cands, bits, got, nil); len(left) != 0 {
+			t.Fatalf("round %d: %d deltas just stored missed", round, len(left))
+		}
+		for j := range got {
+			if got[j] != deltas[j] {
+				t.Fatalf("round %d: delta %d reads %v, stored %v", round, j, got[j], deltas[j])
+			}
+		}
+	}
+}

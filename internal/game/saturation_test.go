@@ -146,17 +146,27 @@ func TestSaturatedThresholdsShareBatchPals(t *testing.T) {
 // TestSaturatedThresholdsSharePrefixPricer checks the fact on the
 // incremental pricing kernel: along a random prefix, pricers at the two
 // thresholds report the same prefix pal and the same candidate deltas.
+// Each pricer runs on an instance of its own, built afresh per draw, so
+// the kernel computes every delta and the delta memo, which keys a
+// threshold at or above the budget as the budget, answers none.
 func TestSaturatedThresholdsSharePrefixPricer(t *testing.T) {
 	for ci, c := range saturationCases(t) {
 		rng := rand.New(rand.NewSource(int64(ci) + 101))
 		nT := c.in.nT
-		for draw := 0; draw < 10; draw++ {
-			b, b2 := drawSaturation(rng, c.in)
-			p1, err := NewPrefixPricer(c.in, b)
+		fresh := func() *Instance {
+			in, err := NewInstance(c.in.G, c.in.Budget, c.in.Src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2, err := NewPrefixPricer(c.in, b2)
+			return in
+		}
+		for draw := 0; draw < 10; draw++ {
+			b, b2 := drawSaturation(rng, c.in)
+			p1, err := NewPrefixPricer(fresh(), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := NewPrefixPricer(fresh(), b2)
 			if err != nil {
 				t.Fatal(err)
 			}

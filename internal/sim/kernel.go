@@ -7,7 +7,8 @@
 // serve layer does, a drift injector mutates the generators mid-run,
 // and an adaptive attacker best-responds to the installed policy with
 // an observation lag. The simulator measures what no static bank can:
-// cumulative regret against the clairvoyant per-epoch optimum,
+// cumulative regret against a per-period reference solve on the true
+// model (one CGGS solve at its caps, a heuristic and not an optimum),
 // empirical detection cross-checked against the model's Pat, refit
 // counts, and time-to-recover after each injected drift.
 //

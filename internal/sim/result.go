@@ -11,8 +11,10 @@ import (
 type PeriodPoint struct {
 	Period int `json:"period"`
 	// Loss is the serving policy's expected loss under the true model;
-	// OptLoss the clairvoyant per-epoch optimum on the same model and
-	// realization bank; Regret and CumRegret their running difference.
+	// OptLoss the reference loss on the same model and realization
+	// bank — one CGGS solve at the true model's caps, a heuristic and
+	// not an optimum (ISHM can beat it); Regret and CumRegret their
+	// running difference.
 	Loss      float64 `json:"loss"`
 	OptLoss   float64 `json:"opt_loss"`
 	Regret    float64 `json:"regret"`
@@ -60,9 +62,15 @@ type Result struct {
 	Events    int    `json:"events"`
 	TraceHash string `json:"trace_hash"`
 
-	// CumRegret is the final cumulative regret vs the clairvoyant
-	// per-epoch optimum.
+	// CumRegret is the final cumulative regret vs the per-period
+	// reference solve (PeriodPoint.OptLoss).
 	CumRegret float64 `json:"cum_regret"`
+	// NegativeRegretPeriods counts the periods whose regret is below
+	// −1e-9: the serving policy beat the reference solve. The scenarios
+	// show none; a count above 0 flags a reference that stopped being
+	// a fair yardstick, as a type whose threshold cap fell to 0 once
+	// made it.
+	NegativeRegretPeriods int `json:"negative_regret_periods"`
 
 	// Attack/detection accounting: EmpiricalDetection is
 	// Detected/Mounted, PredictedDetection the mean model Pat over

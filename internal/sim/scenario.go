@@ -264,6 +264,11 @@ func (scn Scenario) Run(ctx context.Context, opts Options) (*Result, error) {
 		RefitsGated:     host.Gated,
 		Points:          w.points,
 	}
+	for _, pt := range w.points {
+		if pt.Regret < -1e-9 {
+			res.NegativeRegretPeriods++
+		}
+	}
 	if attacker.Mounted > 0 {
 		res.EmpiricalDetection = float64(attacker.Detected) / float64(attacker.Mounted)
 		res.PredictedDetection = attacker.PredictedSum / float64(attacker.Mounted)

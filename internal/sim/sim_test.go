@@ -115,18 +115,33 @@ func TestDriftBeatsStaticOnStep(t *testing.T) {
 // type that goes silent: the burst scenario's outage silences one alert
 // type, and the reference solve on the true model used to cap its
 // threshold at 0 and never audit it, so every strategy showed periods of
-// negative regret. With the one-alert cap floor no period may.
+// negative regret. With the one-alert cap floor no period may. The
+// other scenarios run too, unless -short, so the whole grid — every
+// scenario under the three refit strategies at seeds 1–3 — checks that
+// Result counts the periods whose regret is below −1e-9 and that there
+// are none: no serving policy beats the reference solve.
 func TestBurstOutageNeverBeatsTheReference(t *testing.T) {
-	for _, strategy := range []Strategy{StrategyStatic, StrategyCron, StrategyDrift} {
-		for seed := int64(1); seed <= 3; seed++ {
-			res, err := Run(context.Background(), "burst", Options{Seed: seed, Strategy: strategy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range res.Points {
-				if p.Regret < -1e-9 {
-					t.Errorf("burst/%s seed %d: period %d regret %v (loss %v, reference %v)",
-						strategy, seed, p.Period, p.Regret, p.Loss, p.OptLoss)
+	for _, scn := range Scenarios() {
+		if scn != "burst" && testing.Short() {
+			continue
+		}
+		for _, strategy := range []Strategy{StrategyStatic, StrategyCron, StrategyDrift} {
+			for seed := int64(1); seed <= 3; seed++ {
+				res, err := Run(context.Background(), scn, Options{Seed: seed, Strategy: strategy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, p := range res.Points {
+					if p.Regret < -1e-9 {
+						n++
+						t.Errorf("%s/%s seed %d: period %d regret %v (loss %v, reference %v)",
+							scn, strategy, seed, p.Period, p.Regret, p.Loss, p.OptLoss)
+					}
+				}
+				if res.NegativeRegretPeriods != n {
+					t.Errorf("%s/%s seed %d: Result counts %d negative-regret periods, the curve has %d",
+						scn, strategy, seed, res.NegativeRegretPeriods, n)
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // type plus a composable rate pacer. Each period the pacer's rate
 // scales the base model and a count is drawn from the scaled
 // distribution — the generator is simultaneously the sampler (what the
-// host observes) and the ground truth (SpecsAt is what the clairvoyant
+// host observes) and the ground truth (SpecsAt is what the reference
 // solves against), so the regret accounting can never drift away from
 // the stream that produced it.
 
@@ -151,7 +151,7 @@ func NewTraffic(streams []Stream) (*Traffic, error) {
 func (tr *Traffic) NumTypes() int { return len(tr.streams) }
 
 // SpecsAt returns the true per-type count models in force at period p
-// — the scaled specs the clairvoyant optimum is solved against.
+// — the scaled specs the reference solve runs against.
 func (tr *Traffic) SpecsAt(p int) ([]dist.Spec, error) {
 	specs := make([]dist.Spec, len(tr.streams))
 	for i, s := range tr.streams {

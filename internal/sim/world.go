@@ -18,8 +18,9 @@ import (
 //	p        period   traffic → attacker → Select → Observe → metrics
 //	p + 0.5  refit    the strategy's re-solve, installed for p+1
 //
-// The world evaluates every period's serving policy and the
-// clairvoyant optimum on the *true* model in force that period — the
+// The world evaluates every period's serving policy and the reference
+// solve — one CGGS solve at the true model's caps, a heuristic and not
+// an optimum — on the *true* model in force that period — the
 // traffic generator's scaled specs — through instances sharing one
 // frozen realization bank (common random numbers), so regret
 // differences across strategies are policy differences, not sampling
@@ -38,7 +39,7 @@ type World struct {
 	trafficRNG *rand.Rand
 
 	// trueInsts caches the per-model evaluation instance; optLoss the
-	// clairvoyant loss per model; servLoss the serving policy's loss
+	// reference loss per model; servLoss the serving policy's loss
 	// per (model, policy version).
 	trueInsts map[string]*auditgame.Instance
 	optLoss   map[string]float64
@@ -98,11 +99,12 @@ func (w *World) modelAt(p int) (*auditgame.Instance, string, error) {
 	return in, key, nil
 }
 
-// clairvoyant returns the per-epoch optimal loss for the model behind
-// key: a fresh session solved directly on the true instance, evaluated
+// reference returns the reference loss for the model behind key: one
+// CGGS solve of a fresh session at the true model's caps, directly on
+// the true instance — a heuristic, not an optimum — evaluated
 // through the same full best-response Loss as the serving policy so
 // the two sides of the regret are commensurable.
-func (w *World) clairvoyant(in *auditgame.Instance, key string) (float64, error) {
+func (w *World) reference(in *auditgame.Instance, key string) (float64, error) {
 	if l, ok := w.optLoss[key]; ok {
 		return l, nil
 	}
@@ -115,7 +117,7 @@ func (w *World) clairvoyant(in *auditgame.Instance, key string) (float64, error)
 	}
 	res, err := aud.SolveDetailed(w.ctx)
 	if err != nil {
-		return 0, fmt.Errorf("sim: clairvoyant solve: %w", err)
+		return 0, fmt.Errorf("sim: reference solve: %w", err)
 	}
 	l := auditgame.Loss(in, res.Mixed)
 	w.optLoss[key] = l
@@ -186,7 +188,7 @@ func (w *World) period(p int) {
 		return
 	}
 
-	opt, err := w.clairvoyant(in, key)
+	opt, err := w.reference(in, key)
 	if err != nil {
 		w.fail(err)
 		return
@@ -251,8 +253,8 @@ func mixedOf(p *auditgame.Policy) *auditgame.MixedPolicy {
 // recovered reports whether a period's instantaneous regret has worked
 // off the injection's spike: back under half the running
 // post-injection peak — the spike's half-life — or within 5% of the
-// clairvoyant loss magnitude (an absolute epsilon covers near-zero
-// optima). The peak-relative term matters because a refit from a
+// reference loss magnitude (an absolute epsilon covers near-zero
+// references). The peak-relative term matters because a refit from a
 // finite observation window carries irreducible model-estimation
 // error — regret settles at a small positive floor, and
 // time-to-recover measures the decay of the spike, not the distance

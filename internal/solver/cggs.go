@@ -96,8 +96,10 @@ type CGGSStats struct {
 	// too; benchmarks use a fresh instance per solve.
 	PalEvals int `json:"pal_evals"`
 	// PrefixHits counts candidate extensions the incremental oracle
-	// priced from a prefix checkpoint (one O(rows) appended-position
-	// evaluation each, instead of a full prefix re-walk).
+	// priced without a full prefix re-walk: those the short-prefix delta
+	// memo answered, at O(1) each, and those evaluated from the prefix
+	// checkpoint, at one O(rows) appended-position pass each. It counts
+	// priced candidates, not kernel work.
 	PrefixHits int `json:"prefix_hits"`
 	// PrunedCandidates counts candidate extensions discarded on
 	// reduced-cost bounds alone, without touching the realization

@@ -15,8 +15,10 @@ import (
 // bitwise-identical columns.
 
 // pricer is the signature of a greedy pricing oracle; SolveState.price
-// holds the one a solve runs.
-type pricer func(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, float64, error)
+// holds the one a solve runs. It returns the column, the column's pal
+// vector bit for bit (the cache takes it if the column enters the pool)
+// and its reduced cost.
+type pricer func(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, []float64, float64, error)
 
 // oracleStats carries the incremental oracle's work accounting into
 // CGGSStats.
@@ -26,18 +28,19 @@ type oracleStats struct {
 }
 
 // greedyOrderingIncremental builds the greedy pricing-oracle column
-// incrementally. It returns the column and its exact reduced cost —
-// bitwise-identical to what the batched reference oracle produces — or
-// a nil ordering when the completion bound proves no extension of the
-// current prefix (greedy or otherwise) can price below −eps, in which
-// case the caller takes the same termination path a non-improving
-// column would have triggered.
-func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, float64, error) {
+// incrementally. It returns the column, its pal vector as the pricer
+// composed it and its exact reduced cost — bitwise-identical to what
+// the batched reference oracle produces — or a nil ordering when the
+// completion bound proves no extension of the current prefix (greedy or
+// otherwise) can price below −eps, in which case the caller takes the
+// same termination path a non-improving column would have triggered.
+func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thresholds, eps float64, st *oracleStats) (game.Ordering, []float64, float64, error) {
 	nT := in.G.NumTypes()
 	pp, err := game.NewPrefixPricer(in, b)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
+	defer pp.Release()
 	W := in.DualTypeWeights(res)
 	ub := make([]float64, nT)
 	for t := range ub {
@@ -48,7 +51,7 @@ func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thr
 	var rc float64
 	for step := 0; step < nT; step++ {
 		if in.CompletionLowerBound(res, pp, W, ub) >= -eps {
-			return nil, 0, nil
+			return nil, nil, 0, nil
 		}
 		cands = cands[:0]
 		for t := 0; t < nT; t++ {
@@ -63,5 +66,5 @@ func greedyOrderingIncremental(in *game.Instance, res *game.LPResult, b game.Thr
 		used[out.BestType] = true
 		rc = out.BestRC
 	}
-	return pp.Prefix().Clone(), rc, nil
+	return pp.Prefix().Clone(), pp.Pal(), rc, nil
 }

@@ -32,7 +32,7 @@ func BenchmarkGreedyOracle(b *testing.B) {
 			b.Run(fmt.Sprintf("T%d/%s", nT, oracle.name), func(b *testing.B) {
 				var st oracleStats
 				for i := 0; i < b.N; i++ {
-					if _, _, err := oracle.price(in, res, thr, 1e-7, &st); err != nil {
+					if _, _, _, err := oracle.price(in, res, thr, 1e-7, &st); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -37,8 +37,9 @@ func oracleTestInstance(t testing.TB, name string, sc workload.Scale, bank int) 
 // candidate's prefix re-walked in full through the batched kernel, and
 // the candidates' pal vectors kept out of the cache. It is the golden
 // reference the incremental oracle is pinned against; eps and st are
-// unused, so it fits SolveState.price.
-func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thresholds, _ float64, _ *oracleStats) (game.Ordering, float64, error) {
+// unused, so it fits SolveState.price. The column's pal vector is the
+// batched kernel's.
+func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thresholds, _ float64, _ *oracleStats) (game.Ordering, []float64, float64, error) {
 	nT := in.G.NumTypes()
 	partial := make(game.Ordering, 0, nT)
 	used := make([]bool, nT)
@@ -46,6 +47,7 @@ func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thres
 	cands := make([]game.Ordering, 0, nT)
 	candType := make([]int, 0, nT)
 	var bestRC float64
+	var bestPal []float64
 	for len(partial) < nT {
 		cands, candType = cands[:0], candType[:0]
 		w := len(partial) + 1
@@ -59,18 +61,19 @@ func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thres
 			cands = append(cands, c)
 			candType = append(candType, t)
 		}
-		rcs := in.ReducedCosts(res, in.PalBatchNoCache(cands, b))
+		pals := in.PalBatchNoCache(cands, b)
+		rcs := in.ReducedCosts(res, pals)
 		bestT := -1
 		bestRC = math.Inf(1)
 		for j, rc := range rcs {
 			if rc < bestRC {
-				bestRC, bestT = rc, candType[j]
+				bestRC, bestT, bestPal = rc, candType[j], pals[j]
 			}
 		}
 		partial = append(partial, bestT)
 		used[bestT] = true
 	}
-	return partial, bestRC, nil
+	return partial, bestPal, bestRC, nil
 }
 
 // TestOracleEquivalenceGolden pins the incremental oracle against the

@@ -110,7 +110,7 @@ func (st *SolveState) Solve(ctx context.Context, in *game.Instance, b game.Thres
 	if !initial.ValidPermutation(nT) {
 		return nil, fmt.Errorf("solver: initial ordering %v is not a permutation of %d types", initial, nT)
 	}
-	return st.run(ctx, in, b, []game.Ordering{initial.Clone()}, nil)
+	return st.run(ctx, in, b, []game.Ordering{initial.Clone()}, nil, true)
 }
 
 // Refit re-solves against a refit instance — same game structure,
@@ -126,15 +126,19 @@ func (st *SolveState) Refit(ctx context.Context, in *game.Instance, b game.Thres
 		return st.Solve(ctx, in, b)
 	}
 	st.warm = WarmStats{Warm: true, ColumnsReused: len(st.pool)}
-	return st.run(ctx, in, b, append([]game.Ordering(nil), st.pool...), st.basis)
+	return st.run(ctx, in, b, append([]game.Ordering(nil), st.pool...), st.basis, false)
 }
 
 // run is the column-generation loop shared by cold and warm solves:
 // master solve over Q (warm-chaining the basis between rounds), greedy
 // column construction, and the optional exhaustive-oracle ablation. On
-// success it replaces the persisted state.
+// success it replaces the persisted state. Every greedy column enters
+// the pool with the pal vector its pricer composed, and a cold solve
+// composes its initial column the same way, where the first master
+// would have evaluated it (DESIGN.md P6), so no master walks a column.
+// A warm refit's pool goes through the first master's PalBatch.
 func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresholds,
-	Q []game.Ordering, basis *game.MasterBasis) (*MixedPolicy, error) {
+	Q []game.Ordering, basis *game.MasterBasis, cold bool) (*MixedPolicy, error) {
 
 	nT := in.G.NumTypes()
 	opts := st.opts.withDefaults(nT)
@@ -172,6 +176,12 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		}
 		var err error
 		sp := tr.StartSpan("cggs.master")
+		if cold {
+			if _, err := in.ComposePal(Q[0], b); err != nil {
+				return nil, err
+			}
+			cold = false
+		}
 		res, err = in.SolveFixedWarm(Q, b, basis)
 		if res != nil { // also a master that stopped short of optimal
 			sp.EndValue(int64(res.Iterations))
@@ -195,7 +205,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		// already certifies that nothing prices below −Eps, which lands
 		// in the same termination arm as a non-improving column.
 		sp = tr.StartSpan("cggs.price")
-		partial, rc, err := st.price(in, res, b, opts.Eps, &oStats)
+		partial, pal, rc, err := st.price(in, res, b, opts.Eps, &oStats)
 		sp.EndValue(int64(len(Q)))
 		if err != nil {
 			return nil, err
@@ -203,6 +213,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		if partial != nil && rc < -opts.Eps && !inQ[partial.Key()] {
 			Q = append(Q, partial)
 			inQ[partial.Key()] = true
+			in.CachePal(partial, b, pal)
 			continue
 		}
 
