@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -512,15 +513,27 @@ func (a *Auditor) OnInstall(fn func(p *Policy, version uint64)) {
 // the same policy_version it was installed as before the crash, before
 // any solve runs. It is only valid on a session with no policy installed
 // yet; later installs continue the version sequence from the restored
-// version. The install hook is not called (the checkpoint already exists).
+// version, so the version must be below MaxUint64: the next install
+// would wrap to 0, the "no policy" version. The install hook is not
+// called (the checkpoint already exists). A session bound to a workload
+// or game builds it here if no solve has yet, so the policy's type
+// count is always checked against it; only a policy-only session
+// restores unchecked.
 func (a *Auditor) RestorePolicy(p *Policy, version uint64) error {
-	if version == 0 {
-		return fmt.Errorf("auditgame: RestorePolicy needs the checkpointed version (≥ 1)")
+	if version == 0 || version == math.MaxUint64 {
+		return fmt.Errorf("auditgame: RestorePolicy needs the checkpointed version in [1, %d), got %d",
+			uint64(math.MaxUint64), version)
 	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	g := a.built.Load()
+	if g == nil && (a.cfg.Workload != "" || a.cfg.Game != nil) {
+		var err error
+		if g, err = a.Game(); err != nil {
+			return err
+		}
+	}
 	if g != nil && len(p.TypeNames) != g.NumTypes() {
 		return fmt.Errorf("auditgame: checkpoint policy covers %d alert types but the bound game has %d",
 			len(p.TypeNames), g.NumTypes())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -382,5 +383,59 @@ func TestAuditorSolveDeadline(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("pre-cancelled solve did not return promptly")
+	}
+}
+
+// identityPolicy is a valid one-ordering policy over nT alert types.
+func identityPolicy(nT int) *Policy {
+	p := &Policy{Budget: 8, Probs: []float64{1}, Orderings: [][]int{make([]int, nT)}}
+	for t := 0; t < nT; t++ {
+		p.TypeNames = append(p.TypeNames, string(rune('A'+t)))
+		p.Costs = append(p.Costs, 1)
+		p.Thresholds = append(p.Thresholds, 8)
+		p.Orderings[0][t] = t
+	}
+	return p
+}
+
+// TestRestorePolicyChecks is the regression test for two checkpoint
+// restore defects: a restored version of MaxUint64 made the next
+// install wrap to version 0, the "no policy" value, and a session bound
+// to a workload that no solve had built yet accepted a policy for
+// another game, which every Select then refused.
+func TestRestorePolicyChecks(t *testing.T) {
+	syna := func() *Auditor {
+		a, err := NewAuditor(AuditorConfig{Workload: "syna", Budget: 8, Method: MethodExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if err := syna().RestorePolicy(identityPolicy(5), 1); err == nil {
+		t.Fatal("a fresh Syn A session restored a 5-type policy")
+	}
+	a := syna()
+	if err := a.RestorePolicy(identityPolicy(4), math.MaxUint64); err == nil {
+		t.Fatal("RestorePolicy accepted version MaxUint64")
+	}
+	if err := a.RestorePolicy(identityPolicy(4), math.MaxUint64-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, v, err := a.SelectVersioned([]int{5, 5, 5, 5}); err != nil || v != math.MaxUint64-1 {
+		t.Fatalf("select on the restored policy: version %d, err %v", v, err)
+	}
+	if err := a.SetPolicy(identityPolicy(4)); err != nil {
+		t.Fatal(err)
+	}
+	if v := a.PolicyVersion(); v != math.MaxUint64 {
+		t.Fatalf("install after restoring MaxUint64−1 got version %d", v)
+	}
+	// A policy-only session has no game to check against.
+	po, err := NewAuditor(AuditorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := po.RestorePolicy(identityPolicy(5), 3); err != nil {
+		t.Fatalf("policy-only session refused a restore: %v", err)
 	}
 }

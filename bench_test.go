@@ -739,8 +739,26 @@ func BenchmarkServeSelect(b *testing.B) {
 // realistic serving mix). The observes/s metric is the headline ingest
 // number; the serving target is > 1M observes/s.
 func BenchmarkTrackerObserve(b *testing.B) {
+	benchTrackerObserve(b, auditgame.TrackerConfig{Window: 28, Cadence: 7}, 0)
+}
+
+// BenchmarkTrackerObserveDrifted is the escalated counterpart: a
+// 10-period window and cadence 1, with every count drawn 5σ above the
+// installed model's mean. So every check escalates all 8 types to the
+// distance stage — one window snapshot table and one TV/KL pass per
+// type — and fires, and the default inter-fire interval (half the
+// window) makes every fifth observe such a check; checks/op confirms
+// that mix.
+func BenchmarkTrackerObserveDrifted(b *testing.B) {
+	benchTrackerObserve(b, auditgame.TrackerConfig{Window: 10, Cadence: 1}, 10)
+}
+
+// benchTrackerObserve times Observe on 8 types whose installed models
+// are N(6+t, 2²), fed counts drawn from the same models with their
+// means moved up by shift.
+func benchTrackerObserve(b *testing.B, cfg auditgame.TrackerConfig, shift float64) {
 	const types = 8
-	tr, err := auditgame.NewTracker(types, auditgame.TrackerConfig{Window: 28, Cadence: 7})
+	tr, err := auditgame.NewTracker(types, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -751,16 +769,17 @@ func BenchmarkTrackerObserve(b *testing.B) {
 	if err := tr.SetInstalled(model, 1); err != nil {
 		b.Fatal(err)
 	}
-	// Pre-draw stationary count rows so the timed loop measures Observe,
-	// not sampling.
+	// Pre-draw the count rows so the timed loop measures Observe, not
+	// sampling.
 	r := rand.New(rand.NewSource(5))
 	rows := make([][]int, 256)
 	for i := range rows {
 		rows[i] = make([]int, types)
-		for t, d := range model {
-			rows[i][t] = d.Sample(r)
+		for t := range model {
+			rows[i][t] = auditgame.GaussianCounts(6+float64(t)+shift, 2, 0.995).Sample(r)
 		}
 	}
+	checks0, _, _ := tr.Counters()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -768,7 +787,10 @@ func BenchmarkTrackerObserve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	checks, _, _ := tr.Counters()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "observes/s")
+	b.ReportMetric(float64(checks-checks0)/float64(b.N), "checks/op")
 }
 
 // BenchmarkTelemetryOverhead pins the telemetry cost contract on the

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // maxSupportBins caps the dense-table width so a malformed model (a
@@ -23,7 +24,10 @@ import (
 const maxSupportBins = 1 << 22
 
 // maxSupportHi caps count values themselves; per-period alert counts
-// beyond 2³¹ indicate a broken model, not a big deployment.
+// beyond 2³¹ indicate a broken model, not a big deployment. Every kind
+// enforces it, so no support ends near MaxInt and a `for n := lo;
+// n <= hi; n++` walk over one (the exact enumerator, the drift
+// distances) always terminates.
 const maxSupportHi = 1 << 31
 
 // Distribution is a discrete probability distribution over non-negative
@@ -139,12 +143,19 @@ func must(d Distribution, err error) Distribution {
 }
 
 // NewPoint returns the point mass at n (a deterministic daily count).
-// Negative n is clipped to 0, since counts are non-negative.
-func NewPoint(n int) Distribution {
+// Negative n is clipped to 0, since counts are non-negative. It panics
+// above the 2³¹ count cap: a count that large is a broken model, and
+// clamping it would hide the mistake behind a different one.
+func NewPoint(n int) Distribution { return must(newPoint(n)) }
+
+func newPoint(n int) (Distribution, error) {
+	if n > maxSupportHi {
+		return nil, fmt.Errorf("dist: point mass n %d exceeds the %d count cap", n, maxSupportHi)
+	}
 	if n < 0 {
 		n = 0
 	}
-	return newTable(n, []float64{1})
+	return newTable(n, []float64{1}), nil
 }
 
 // NewEmpirical fits the empirical distribution of the observed
@@ -169,7 +180,10 @@ func newEmpirical(counts []int) (Distribution, error) {
 			hi = c
 		}
 	}
-	if hi-lo >= maxSupportBins { // hi−lo+1 would overflow at hi−lo = MaxInt
+	if hi > maxSupportHi {
+		return nil, fmt.Errorf("dist: empirical count %d exceeds the %d count cap", hi, maxSupportHi)
+	}
+	if hi-lo >= maxSupportBins {
 		return nil, fmt.Errorf("dist: empirical count range [%d, %d] exceeds %d bins", lo, hi, maxSupportBins)
 	}
 	weights := make([]float64, hi-lo+1)
@@ -248,6 +262,9 @@ func newGaussianHalfWidth(mean, std float64, halfWidth int) (Distribution, error
 	if hi < lo {
 		hi = lo
 	}
+	if hi > maxSupportHi {
+		return nil, fmt.Errorf("dist: gaussian support reaches %d, beyond the %d count cap", hi, maxSupportHi)
+	}
 	return gaussianTable(mean, std, lo, hi)
 }
 
@@ -265,12 +282,20 @@ func checkGaussian(mean, std float64) error {
 // newTable renormalizes the truncated mass. A support so far into the
 // tail that every bin underflows to zero is reported as an error
 // rather than a distribution.
+//
+// Φ is evaluated once per bin edge: bin n's upper edge n+0.5 and bin
+// n+1's lower edge (n+1)−0.5 are the same double for every integer
+// |n| < 2⁵², and the count cap keeps 0 ≤ n ≤ 2³¹ here, so carrying the
+// upper edge's Φ into the next bin gives the weights of two Φ calls per
+// bin bit for bit.
 func gaussianTable(mean, std float64, lo, hi int) (Distribution, error) {
 	weights := make([]float64, hi-lo+1)
 	var total float64
+	lower := normCDF((float64(lo) - 0.5 - mean) / std)
 	for i := range weights {
-		n := float64(lo + i)
-		weights[i] = normCDF((n+0.5-mean)/std) - normCDF((n-0.5-mean)/std)
+		upper := normCDF((float64(lo+i) + 0.5 - mean) / std)
+		weights[i] = upper - lower
+		lower = upper
 		total += weights[i]
 	}
 	if total == 0 {
@@ -351,10 +376,32 @@ func newSoliton(n int) (Distribution, error) {
 // normCDF is the standard normal CDF Φ(x).
 func normCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 
-// normQuantile inverts Φ by bisection. Only construction-time code
-// calls it, so robustness beats speed; ~70 iterations reach full
-// float64 precision on [−40, 40].
+// quantileMemo is normQuantile's last argument and result.
+type quantileMemo struct{ p, q float64 }
+
+// lastQuantile remembers one Φ⁻¹ evaluation. Every gaussian build asks
+// for Φ⁻¹((1+coverage)/2), and in practice the coverage is one
+// constant (the paper's 0.995): the drift tracker's escalated checks,
+// refit models and the simulator's true models all build with it. One
+// entry serves that, and stays bounded when specs arrive over JSON
+// with coverages the client chose, which a map keyed by p would not.
+var lastQuantile atomic.Pointer[quantileMemo]
+
+// normQuantile returns Φ⁻¹(p), bit for bit bisectQuantile(p), from
+// lastQuantile when p repeats the last call's argument.
 func normQuantile(p float64) float64 {
+	if m := lastQuantile.Load(); m != nil && m.p == p {
+		return m.q
+	}
+	q := bisectQuantile(p)
+	lastQuantile.Store(&quantileMemo{p, q})
+	return q
+}
+
+// bisectQuantile inverts Φ by bisection: robustness beats speed, and
+// ~70 iterations reach full float64 precision on [−40, 40]. It runs on
+// every gaussian build whose coverage differs from the previous one's.
+func bisectQuantile(p float64) float64 {
 	lo, hi := -40.0, 40.0
 	for i := 0; i < 200 && lo < hi; i++ {
 		mid := lo + (hi-lo)/2

@@ -297,6 +297,13 @@ func TestSpecBuildRejectsUnrepresentable(t *testing.T) {
 		// around, passed, and make panicked.
 		{Kind: "gaussian", Mean: 6, Std: 2, HalfWidth: 1 << 62},
 		{Kind: "empirical", Counts: []int{0, math.MaxInt}},
+		// Counts beyond the 2³¹ cap: a support ending at MaxInt made
+		// every n <= hi walk over it wrap and never return.
+		{Kind: "point", N: math.MaxInt},
+		{Kind: "point", N: maxSupportHi + 1},
+		{Kind: "empirical", Counts: []int{math.MaxInt - 1, math.MaxInt}},
+		{Kind: "empirical", Counts: []int{maxSupportHi + 1}},
+		{Kind: "gaussian", Mean: maxSupportHi, Std: 1, HalfWidth: 5},
 	}
 	for _, s := range bad {
 		func() {
@@ -310,6 +317,36 @@ func TestSpecBuildRejectsUnrepresentable(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestCountCap checks the 2³¹ count cap at its edge on every kind that
+// takes a count, and that NewPoint panics above it rather than clamp.
+func TestCountCap(t *testing.T) {
+	for _, s := range []Spec{
+		{Kind: "point", N: maxSupportHi},
+		{Kind: "empirical", Counts: []int{maxSupportHi - 1, maxSupportHi}},
+		{Kind: "gaussian", Mean: maxSupportHi - 5, Std: 1, HalfWidth: 5},
+	} {
+		d, err := s.Build()
+		if err != nil {
+			t.Fatalf("%+v at the cap: %v", s, err)
+		}
+		if _, hi := d.Support(); hi != maxSupportHi {
+			t.Fatalf("%+v: support ends at %d, want %d", s, hi, maxSupportHi)
+		}
+	}
+	if _, hi := NewPoint(maxSupportHi).Support(); hi != maxSupportHi {
+		t.Fatalf("NewPoint at the cap ends at %d", hi)
+	}
+	if _, hi := NewPoint(-3).Support(); hi != 0 {
+		t.Fatalf("NewPoint(-3) = point at %d, want the clip to 0", hi)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPoint above the count cap did not panic")
+		}
+	}()
+	NewPoint(math.MaxInt)
 }
 
 func TestSpecBuildErrors(t *testing.T) {
@@ -396,8 +433,9 @@ func TestStreamEstimatorSnapshotTracksWindow(t *testing.T) {
 }
 
 // FuzzSpecBuild checks that Build never panics on a decoded spec, and
-// that an accepted spec round-trips through JSON to the same table and
-// has a PMF summing to 1 over its support.
+// that an accepted spec has a support inside [0, 2³¹], round-trips
+// through JSON to the same table and has a PMF summing to 1 over its
+// support.
 func FuzzSpecBuild(f *testing.F) {
 	for _, s := range []string{
 		`{"kind":"gaussian","mean":6,"std":2,"coverage":0.995}`,
@@ -406,7 +444,10 @@ func FuzzSpecBuild(f *testing.F) {
 		`{"kind":"poisson","lambda":3,"coverage":0.999}`,
 		`{"kind":"empirical","counts":[4,6,5,5]}`,
 		`{"kind":"empirical","counts":[0,9223372036854775807]}`,
+		`{"kind":"empirical","counts":[9223372036854775806,9223372036854775807]}`,
 		`{"kind":"point","n":2}`,
+		`{"kind":"point","n":9223372036854775807}`,
+		`{"kind":"gaussian","mean":2147483648,"std":1,"half_width":5}`,
 		`{"kind":"soliton","n":40}`,
 	} {
 		f.Add(s)
@@ -433,6 +474,9 @@ func FuzzSpecBuild(f *testing.F) {
 			t.Fatalf("round-tripped spec %s rejected: %v", raw, err)
 		}
 		lo, hi := d.Support()
+		if lo < 0 || hi > maxSupportHi {
+			t.Fatalf("%s: support [%d, %d] leaves [0, %d]", raw, lo, hi, maxSupportHi)
+		}
 		if lo2, hi2 := d2.Support(); lo2 != lo || hi2 != hi {
 			t.Fatalf("%s: support [%d, %d] round-trips to [%d, %d]", raw, lo, hi, lo2, hi2)
 		}

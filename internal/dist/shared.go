@@ -1,7 +1,8 @@
 package dist
 
 import (
-	"strconv"
+	"encoding/binary"
+	"math"
 	"sync"
 )
 
@@ -59,38 +60,43 @@ func Shared(s Spec) (Distribution, error) {
 // and specs that build different ones map to different keys. Callers
 // caching built distributions key by it; Shared still never interns
 // empirical specs.
-func (s Spec) Key() string {
-	b := make([]byte, 0, 48)
+func (s Spec) Key() string { return string(s.AppendKey(make([]byte, 0, 48))) }
+
+// AppendKey appends Key's bytes to b, so a lookup can run
+// m[string(buf)] on a reused buffer without allocating. The key is the
+// kind, length-prefixed, then every field Build reads as one 8-byte
+// word — floats as their IEEE bits, ints as uint64 — with the empirical
+// counts prefixed by their number. Every key is therefore
+// self-delimiting, and a concatenation of keys identifies its specs.
+// Raw bits split exactly the specs the shortest-decimal encoding did:
+// that encoding is injective on every float64 except NaN payloads, and
+// no spec with a NaN field builds.
+func (s Spec) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Kind)))
 	b = append(b, s.Kind...)
-	sep := func() { b = append(b, '|') }
-	f := func(v float64) { b = strconv.AppendFloat(b, v, 'g', -1, 64) }
+	word := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	f := func(v float64) { word(math.Float64bits(v)) }
 	switch s.Kind {
 	case "gaussian":
-		sep()
 		f(s.Mean)
-		sep()
 		f(s.Std)
-		sep()
 		if s.HalfWidth != 0 {
 			b = append(b, 'w')
-			b = strconv.AppendInt(b, int64(s.HalfWidth), 10)
+			word(uint64(s.HalfWidth))
 		} else {
 			b = append(b, 'c')
 			f(s.Coverage)
 		}
 	case "poisson":
-		sep()
 		f(s.Lambda)
-		sep()
 		f(s.Coverage)
 	case "empirical":
+		word(uint64(len(s.Counts)))
 		for _, c := range s.Counts {
-			sep()
-			b = strconv.AppendInt(b, int64(c), 10)
+			word(uint64(c))
 		}
 	case "point", "soliton":
-		sep()
-		b = strconv.AppendInt(b, int64(s.N), 10)
+		word(uint64(s.N))
 	}
-	return string(b)
+	return b
 }

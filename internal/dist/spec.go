@@ -52,7 +52,7 @@ func (s Spec) Build() (Distribution, error) {
 		if s.N < 0 {
 			return nil, fmt.Errorf("dist: point mass n %d must be ≥ 0", s.N)
 		}
-		return NewPoint(s.N), nil
+		return newPoint(s.N)
 	case "soliton":
 		return newSoliton(s.N)
 	case "":

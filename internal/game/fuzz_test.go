@@ -45,6 +45,9 @@ func FuzzDecodeJSON(f *testing.F) {
 	f.Add(`{"types": [{"name":"A","cost":1,"dist":{"kind":"empirical","counts":[0,9223372036854775807]}}],
 	       "entities":[{"name":"e","p_attack":1}],"victims":["v"],
 	       "attacks":[[{"type":0,"benefit":1,"penalty":1,"cost":1}]]}`)
+	// Counts at MaxInt once decoded, validated and hung the first solve.
+	f.Add(overCapPointJSON)
+	f.Add(overCapEmpiricalJSON)
 	f.Fuzz(func(t *testing.T, s string) {
 		g, err := DecodeJSON(strings.NewReader(s))
 		if err != nil {

@@ -89,3 +89,24 @@ func TestDecodeJSONErrors(t *testing.T) {
 		}
 	}
 }
+
+// Games whose count models reach MaxInt. Both once decoded and
+// validated, and the first solve never returned: the exact enumerator's
+// n <= hi loop wrapped at hi = MaxInt, before any context check.
+const (
+	overCapPointJSON = `{"types":[{"name":"A","cost":1,"dist":{"kind":"point","n":9223372036854775807}}],` +
+		`"entities":[{"name":"e","p_attack":1}],"victims":["v"],"attacks":[[{"type":1,"benefit":1,"penalty":1,"cost":1}]]}`
+	overCapEmpiricalJSON = `{"types":[{"name":"A","cost":1,"dist":{"kind":"empirical","counts":[9223372036854775806,9223372036854775807]}}],` +
+		`"entities":[{"name":"e","p_attack":1}],"victims":["v"],"attacks":[[{"type":1,"benefit":1,"penalty":1,"cost":1}]]}`
+)
+
+// TestDecodeJSONRejectsCountsAboveCap is the regression test for those
+// games: the decoder must refuse them, citing the count cap.
+func TestDecodeJSONRejectsCountsAboveCap(t *testing.T) {
+	for _, src := range []string{overCapPointJSON, overCapEmpiricalJSON} {
+		_, err := DecodeJSON(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "count cap") {
+			t.Errorf("decode of %s: err %v, want the count cap", src, err)
+		}
+	}
+}

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"auditgame"
@@ -167,6 +170,99 @@ func FuzzObserveBody(f *testing.F) {
 		}
 		if got := fuzzPeriods(t, h); got != after+1 {
 			t.Fatalf("valid observe after %q: periods went %d → %d", body, after, got)
+		}
+	})
+}
+
+// checkpointSeeds returns the FuzzCheckpointRestore seeds: a real
+// checkpoint as writeCheckpointFile writes it, that file torn in half,
+// and versions of it with format version 2, policy version 0, policy
+// version MaxUint64 and the policy of another game.
+func checkpointSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	a := solvedAuditor(t)
+	s, err := New(Config{Auditor: a, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cfg.CheckpointPath = filepath.Join(t.TempDir(), "checkpoint.json")
+	p, v := a.CurrentPolicy()
+	if err := s.writeCheckpointFile(p, v); err != nil {
+		t.Fatal(err)
+	}
+	real, err := os.ReadFile(s.cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(mut func(*checkpointFile)) []byte {
+		var ck checkpointFile
+		if err := json.Unmarshal(real, &ck); err != nil {
+			t.Fatal(err)
+		}
+		mut(&ck)
+		raw, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	other, _ := fuzzSession(t)
+	return [][]byte{
+		real,
+		real[:len(real)/2],
+		edit(func(ck *checkpointFile) { ck.V = 2 }),
+		edit(func(ck *checkpointFile) { ck.PolicyVersion = 0 }),
+		edit(func(ck *checkpointFile) { ck.PolicyVersion = math.MaxUint64 }),
+		edit(func(ck *checkpointFile) { ck.Policy = other.Policy() }),
+	}
+}
+
+// FuzzCheckpointRestore writes arbitrary bytes as the checkpoint file
+// of a fresh Syn A session's server. Restore may refuse them but must
+// not panic; a checkpoint it accepts must serve a policy that validates,
+// covers the game's alert types and selects, under a version in
+// [1, MaxUint64) that the next install advances by one.
+func FuzzCheckpointRestore(f *testing.F) {
+	for _, seed := range checkpointSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "checkpoint.json")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		a, err := auditgame.NewAuditor(auditgame.AuditorConfig{Workload: "syna", Budget: 8, Method: auditgame.MethodExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Auditor: a, CheckpointPath: path, Logger: slog.New(slog.DiscardHandler)}); err != nil {
+			return
+		}
+		p, v := a.CurrentPolicy()
+		if p == nil {
+			t.Fatalf("restore of %q succeeded without a policy", raw)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("restored policy does not validate: %v", err)
+		}
+		g, err := a.Game()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.TypeNames) != g.NumTypes() {
+			t.Fatalf("restored a %d-type policy on a %d-type game", len(p.TypeNames), g.NumTypes())
+		}
+		if v == 0 || v == math.MaxUint64 {
+			t.Fatalf("restored version %d", v)
+		}
+		if _, sv, err := a.SelectVersioned([]int{5, 5, 5, 5}); err != nil || sv != v {
+			t.Fatalf("select on the restored policy: version %d (restored %d), err %v", sv, v, err)
+		}
+		if err := a.SetPolicy(p); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.PolicyVersion(); got != v+1 {
+			t.Fatalf("install after restoring version %d got %d", v, got)
 		}
 	})
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // solvedAuditor returns a session bound to Syn A with a policy installed.
-func solvedAuditor(t *testing.T) *auditgame.Auditor {
+func solvedAuditor(t testing.TB) *auditgame.Auditor {
 	t.Helper()
 	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
 		Workload: "syna",

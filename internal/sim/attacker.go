@@ -68,21 +68,19 @@ func NewAttacker(cfg AttackerConfig, seed int64) (*Attacker, error) {
 // Lag returns the configured observation lag.
 func (a *Attacker) Lag() int { return a.cfg.Lag }
 
-// Period runs one period's attack: best-respond to the lagged policy
-// under the true current model, mount if attacking beats refraining,
-// and sample the raised alert type. Returns nil when no attack is
-// mounted this period. in must be the true-model instance for period p
-// — the attacker evaluates detection odds against the workload as it
-// is, not as the host models it.
-func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Policy) (*Strike, error) {
+// Period runs one period's attack: best-respond to lagPal, the mixed
+// detection vector of the lagged policy under the true current model,
+// mount if attacking beats refraining, and sample the raised alert
+// type. servPal is the vector of the policy serving now, under the same
+// model: the model-side prediction uses it, because detection depends
+// on what serves, not on what the attacker believed. Returns nil when
+// no attack is mounted this period. g is the true model's game — the
+// attacker evaluates detection odds against the workload as it is, not
+// as the host models it.
+func (a *Attacker) Period(g *auditgame.Game, lagPal, servPal []float64) *Strike {
 	if a.cfg.PMount < 1 && a.rng.Float64() >= a.cfg.PMount {
-		return nil, nil
+		return nil
 	}
-	pal, err := mixedPal(in, lagged)
-	if err != nil {
-		return nil, err
-	}
-	g := in.G
 	bestE, bestV := -1, -1
 	bestUa := 0.0
 	if !g.AllowNoAttack {
@@ -90,14 +88,14 @@ func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Pol
 	}
 	for e := range g.Entities {
 		for v := range g.Victims {
-			if ua := attackUtility(g.Attacks[e][v], pal); ua > bestUa {
+			if ua := attackUtility(g.Attacks[e][v], lagPal); ua > bestUa {
 				bestUa, bestE, bestV = ua, e, v
 			}
 		}
 	}
 	if bestE < 0 {
 		a.Refrained++
-		return nil, nil
+		return nil
 	}
 	a.Mounted++
 
@@ -116,20 +114,13 @@ func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Pol
 		a.Raised++
 	}
 
-	// The model-side prediction uses the policy that actually answers
-	// this period — detection depends on what serves, not on what the
-	// attacker believed.
-	servPal, err := mixedPal(in, serving)
-	if err != nil {
-		return nil, err
-	}
 	for t, p := range atk.TypeProbs {
 		if p != 0 {
 			st.Predicted += p * servPal[t]
 		}
 	}
 	a.PredictedSum += st.Predicted
-	return st, nil
+	return st
 }
 
 // Detect resolves the strike against the period's executed selection,
@@ -165,10 +156,8 @@ func attackUtility(atk auditgame.Attack, pal []float64) float64 {
 }
 
 // mixedPal computes the policy's mixture detection vector Σ_q po_q ·
-// pal(o_q, b)[t] on the given instance. Pal results are cached per
-// (instance, ordering, thresholds), so repeated evaluation across
-// periods with an unchanged model and policy costs one map lookup per
-// support ordering.
+// pal(o_q, b)[t] on the given instance. The world evaluates it once per
+// (true model, policy version) and keeps it in the model's record.
 func mixedPal(in *auditgame.Instance, pol *auditgame.Policy) ([]float64, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("sim: mixedPal needs a policy")

@@ -58,3 +58,22 @@ func BenchmarkStepChangeStrategies(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimSeasonal is one pass of perfbench's sim-seasonal
+// workload per op: the seasonal scenario over 360 periods at seeds 1–8,
+// one sub-benchmark per refit strategy. Run it with -benchmem; the
+// static pass is the event dispatch, attacker and true-model
+// accounting with no refit in the way.
+func BenchmarkSimSeasonal(b *testing.B) {
+	for _, strat := range Strategies() {
+		b.Run(string(strat), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for seed := int64(1); seed <= 8; seed++ {
+					if _, err := Run(context.Background(), "seasonal", Options{Horizon: 360, Seed: seed, Strategy: strat}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

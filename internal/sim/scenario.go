@@ -214,9 +214,7 @@ func (scn Scenario) Run(ctx context.Context, opts Options) (*Result, error) {
 		bankSeed:   bankSeed,
 		baseGame:   g,
 		trafficRNG: subRNG(seed, "traffic"),
-		trueInsts:  make(map[string]*auditgame.Instance),
-		optLoss:    make(map[string]float64),
-		servLoss:   make(map[string]float64),
+		models:     make(map[string]*trueModel),
 		ctx:        ctx,
 	}
 

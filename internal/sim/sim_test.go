@@ -3,7 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -111,6 +114,89 @@ func TestDriftBeatsStaticOnStep(t *testing.T) {
 	}
 }
 
+// gridPin is one grid run's bits: the kernel's trace hash, the final
+// cumulative regret's float bits, and pointsDigest of its curve.
+type gridPin struct {
+	hash   string
+	regret uint64
+	points uint64
+}
+
+// gridPins holds the bits of every run of the 36-run grid (scenario ×
+// strategy × seed 1–3). Any change to a loss, a reference, an RNG draw
+// or the event schedule moves at least one of them.
+var gridPins = map[string]gridPin{
+	"stepchange/static/1": {"5930d61f940e0f9b", 0x407dca3ae7a4fe4f, 0x43cf95e5b0ad0c85},
+	"stepchange/static/2": {"5930d61f940e0f9b", 0x40702aa551940a84, 0xf646548590b011b7},
+	"stepchange/static/3": {"5930d61f940e0f9b", 0x407403aa5e8b5588, 0xdcd411c6006e2410},
+	"stepchange/cron/1":   {"9d819dbae8d8c8e2", 0x406c60b3eaf57bfc, 0xf1d23e57b3b4326e},
+	"stepchange/cron/2":   {"9d819dbae8d8c8e2", 0x4068f84fc88f4402, 0x2efec499a63b5719},
+	"stepchange/cron/3":   {"9d819dbae8d8c8e2", 0x40638e366478effe, 0xb7d520be9d6acac0},
+	"stepchange/drift/1":  {"f87f7f55a4903242", 0x406bd57e9d5bc3db, 0xc457af5925e3668e},
+	"stepchange/drift/2":  {"a1cef8c0150cbbf2", 0x406974727c9beb48, 0x66541b4955852dcc},
+	"stepchange/drift/3":  {"07991e2fb3eda8c2", 0x405c1231eb66e4da, 0x256481b452c072a6},
+	"ramp/static/1":       {"ad3a40b502f4a2ae", 0x407d8584c9a270dd, 0x3fead297ed74ae08},
+	"ramp/static/2":       {"ad3a40b502f4a2ae", 0x40706f311369f0ec, 0xfa9d5a963a83ea55},
+	"ramp/static/3":       {"ad3a40b502f4a2ae", 0x4075efea5f354e47, 0x3cceb0ffdc9b6485},
+	"ramp/cron/1":         {"7463aeb74784b198", 0x4067b7af4b4cefd6, 0x5a489134eecf5d22},
+	"ramp/cron/2":         {"7463aeb74784b198", 0x4064b1ddb57c3d5e, 0x806132ef4ef52a0f},
+	"ramp/cron/3":         {"7463aeb74784b198", 0x4065c69e91500446, 0x1829a7dcdac87324},
+	"ramp/drift/1":        {"0d38b4645a4bffe6", 0x4069daee1db25abb, 0x64e4ed5db9286977},
+	"ramp/drift/2":        {"dbab0ffaa8f59b09", 0x4063c74205c897b0, 0xe6a164f923985742},
+	"ramp/drift/3":        {"2db1b05e7c3148cd", 0x40617a82557d6520, 0x8af4c89afcd9ca8},
+	"burst/static/1":      {"04585d8d6a65aff3", 0x4063362870e33f7a, 0x5e9be7e90ee94037},
+	"burst/static/2":      {"04585d8d6a65aff3", 0x406988e727943ed0, 0x6f3e138a6c79f2f5},
+	"burst/static/3":      {"04585d8d6a65aff3", 0x40715cf3f1c1b92b, 0x9b01ef0ac9815be2},
+	"burst/cron/1":        {"a2915941cbe864c3", 0x407b7697b494c896, 0x5082e26e23cae953},
+	"burst/cron/2":        {"a2915941cbe864c3", 0x40774445d7f25800, 0xd658eabfbc4daf2b},
+	"burst/cron/3":        {"a2915941cbe864c3", 0x4078908b2fdfca3a, 0xe4cd546b0dc8ab26},
+	"burst/drift/1":       {"6a364ddbc3414ce0", 0x406cb0a9727ca649, 0xea81af3bec8ec3d9},
+	"burst/drift/2":       {"6a364ddbc3414ce0", 0x406a7fd58589dcd2, 0xbc0ebf7d9d2f75ed},
+	"burst/drift/3":       {"6a364ddbc3414ce0", 0x4071dd6a298cd818, 0xfa31763e1347739f},
+	"seasonal/static/1":   {"351ae4461ef1259e", 0x408bf46bc3616e9f, 0x9ff0aa0b2271120},
+	"seasonal/static/2":   {"351ae4461ef1259e", 0x4086eeb709b5890d, 0x1a02389d5f296752},
+	"seasonal/static/3":   {"351ae4461ef1259e", 0x4089005aa1890932, 0xc286cb0ac7f598f},
+	"seasonal/cron/1":     {"0f1e0a05f65b1cb1", 0x4076d94e8677392c, 0x9c71588c1ddc63c7},
+	"seasonal/cron/2":     {"0f1e0a05f65b1cb1", 0x40808da530a5de43, 0x2512a914f2a0c223},
+	"seasonal/cron/3":     {"0f1e0a05f65b1cb1", 0x407d43360689de73, 0x8d5c3bcf44566c73},
+	"seasonal/drift/1":    {"cd69d8bb04b72ab3", 0x407bd0c26ec5e498, 0xc77fe098604161b6},
+	"seasonal/drift/2":    {"a358595cebe2167a", 0x40832ea865f492b2, 0xaa09f2b56aab1b8e},
+	"seasonal/drift/3":    {"fb27a49a012d93e9", 0x4079089759eaf0c0, 0xa64454ac8e6a84fb},
+}
+
+// pointsDigest is the FNV-64a digest of every period's fields: the
+// float bits of the losses and the prediction, the policy version, and
+// the drift, refit and attack flags.
+func pointsDigest(pts []PeriodPoint) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(v bool) {
+		if v {
+			word(1)
+		} else {
+			word(0)
+		}
+	}
+	for _, p := range pts {
+		word(uint64(p.Period))
+		for _, f := range []float64{p.Loss, p.OptLoss, p.Regret, p.CumRegret, p.Predicted} {
+			word(math.Float64bits(f))
+		}
+		word(p.PolicyVersion)
+		flag(p.Drift)
+		flag(p.Mounted)
+		flag(p.Raised)
+		flag(p.Detected)
+		h.Write([]byte(p.Refit))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
 // TestBurstOutageNeverBeatsTheReference is the regression test for a
 // type that goes silent: the burst scenario's outage silences one alert
 // type, and the reference solve on the true model used to cap its
@@ -119,7 +205,8 @@ func TestDriftBeatsStaticOnStep(t *testing.T) {
 // other scenarios run too, unless -short, so the whole grid — every
 // scenario under the three refit strategies at seeds 1–3 — checks that
 // Result counts the periods whose regret is below −1e-9 and that there
-// are none: no serving policy beats the reference solve.
+// are none: no serving policy beats the reference solve. Every run's
+// bits must also equal its gridPins entry.
 func TestBurstOutageNeverBeatsTheReference(t *testing.T) {
 	for _, scn := range Scenarios() {
 		if scn != "burst" && testing.Short() {
@@ -130,6 +217,14 @@ func TestBurstOutageNeverBeatsTheReference(t *testing.T) {
 				res, err := Run(context.Background(), scn, Options{Seed: seed, Strategy: strategy})
 				if err != nil {
 					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/%s/%d", scn, strategy, seed)
+				got := gridPin{res.TraceHash, math.Float64bits(res.CumRegret), pointsDigest(res.Points)}
+				if want, ok := gridPins[name]; !ok {
+					t.Errorf("%s: no pin; got %q: {%q, %#x, %#x}", name, name, got.hash, got.regret, got.points)
+				} else if got != want {
+					t.Errorf("%s: bits moved: trace %s, cum_regret %#x (%v), points %#x; pinned %s, %#x, %#x",
+						name, got.hash, got.regret, res.CumRegret, got.points, want.hash, want.regret, want.points)
 				}
 				n := 0
 				for _, p := range res.Points {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"auditgame/internal/dist"
 	"auditgame/internal/workload"
@@ -11,11 +10,10 @@ import (
 
 // Traffic is the benign alert stream: one base count model per alert
 // type plus a composable rate pacer. Each period the pacer's rate
-// scales the base model and a count is drawn from the scaled
-// distribution — the generator is simultaneously the sampler (what the
-// host observes) and the ground truth (SpecsAt is what the reference
-// solves against), so the regret accounting can never drift away from
-// the stream that produced it.
+// scales the base model, and the world draws that period's counts from
+// the tables of the same scaled models the reference solves against
+// (SpecsAt), so the regret accounting can never drift away from the
+// stream that produced it.
 
 // Pacer modulates a stream's rate over virtual periods: Tick returns
 // the multiplicative rate factor for period p. Pacers are pure
@@ -119,14 +117,10 @@ type Stream struct {
 	Pace Pacer
 }
 
-// Traffic generates the benign per-period counts for every alert type.
+// Traffic generates the benign per-period count models for every
+// alert type.
 type Traffic struct {
 	streams []Stream
-	// built caches scaled-spec → distribution, keyed by dist.Spec.Key:
-	// a rota alternates between two scaled models for the whole run, so
-	// the cache keeps the per-period cost at one map lookup instead of
-	// one distribution construction.
-	built map[string]dist.Distribution
 }
 
 // NewTraffic builds a generator over the given streams.
@@ -134,7 +128,7 @@ func NewTraffic(streams []Stream) (*Traffic, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("sim: traffic needs at least one stream")
 	}
-	tr := &Traffic{streams: make([]Stream, len(streams)), built: make(map[string]dist.Distribution)}
+	tr := &Traffic{streams: make([]Stream, len(streams))}
 	copy(tr.streams, streams)
 	for i := range tr.streams {
 		if tr.streams[i].Pace == nil {
@@ -162,37 +156,6 @@ func (tr *Traffic) SpecsAt(p int) ([]dist.Spec, error) {
 		specs[i] = sc
 	}
 	return specs, nil
-}
-
-// Sample draws one period's benign counts from the period-p models.
-func (tr *Traffic) Sample(p int, r *rand.Rand) ([]int, error) {
-	specs, err := tr.SpecsAt(p)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(specs))
-	for i, s := range specs {
-		d, err := tr.dist(s)
-		if err != nil {
-			return nil, err
-		}
-		counts[i] = d.Sample(r)
-	}
-	return counts, nil
-}
-
-// dist resolves a scaled spec through the local cache.
-func (tr *Traffic) dist(s dist.Spec) (dist.Distribution, error) {
-	key := s.Key()
-	if d, ok := tr.built[key]; ok {
-		return d, nil
-	}
-	d, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	tr.built[key] = d
-	return d, nil
 }
 
 // SetPacer replaces stream t's pacer (the drift injector's step and

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"auditgame"
+	"auditgame/internal/dist"
 )
 
 // World wires the modules into the closed loop and owns the metric
@@ -38,18 +37,35 @@ type World struct {
 	baseGame   *auditgame.Game
 	trafficRNG *rand.Rand
 
-	// trueInsts caches the per-model evaluation instance; optLoss the
-	// reference loss per model; servLoss the serving policy's loss
-	// per (model, policy version).
-	trueInsts map[string]*auditgame.Instance
-	optLoss   map[string]float64
-	servLoss  map[string]float64
+	// models holds one record per distinct true model, keyed by its
+	// specs' dist.Spec.AppendKey bytes, concatenated into keyBuf.
+	models map[string]*trueModel
+	keyBuf []byte
 
 	points    []PeriodPoint
 	cumRegret float64
 	err       error
 
 	ctx context.Context
+}
+
+// trueModel is the world's record of one distinct true model: the
+// evaluation instance built on it (whose count tables the period's
+// traffic is drawn from), the reference loss, and what each policy
+// version scores on it. A rota alternates between a few models for a
+// whole run, so almost every period finds everything it needs here with
+// one map lookup.
+type trueModel struct {
+	in       *auditgame.Instance
+	ref      float64
+	versions map[uint64]*versionEval
+}
+
+// versionEval is one policy version evaluated on one true model: its
+// serving loss and the mixed detection vector the attacker reads.
+type versionEval struct {
+	loss float64
+	pal  []float64
 }
 
 // fail records the first error; later events become no-ops so the
@@ -60,31 +76,22 @@ func (w *World) fail(err error) {
 	}
 }
 
-// modelAt resolves period p's true model: its canonical key (the
-// per-type dist.Spec keys joined by ';') and the shared evaluation
-// instance.
-func (w *World) modelAt(p int) (*auditgame.Instance, string, error) {
-	specs, err := w.traffic.SpecsAt(p)
-	if err != nil {
-		return nil, "", err
+// model returns the record of period p's true model, whose per-type
+// specs are specs, building it on the model's first period.
+func (w *World) model(p int, specs []dist.Spec) (*trueModel, error) {
+	w.keyBuf = w.keyBuf[:0]
+	for _, s := range specs {
+		w.keyBuf = s.AppendKey(w.keyBuf)
 	}
-	var sb strings.Builder
-	for i, s := range specs {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(s.Key())
-	}
-	key := sb.String()
-	if in, ok := w.trueInsts[key]; ok {
-		return in, key, nil
+	if m, ok := w.models[string(w.keyBuf)]; ok {
+		return m, nil
 	}
 	ng := *w.baseGame
 	ng.Types = append([]auditgame.AlertType(nil), w.baseGame.Types...)
 	for i, s := range specs {
 		d, err := s.Build()
 		if err != nil {
-			return nil, "", fmt.Errorf("sim: true model for period %d, type %d: %w", p, i, err)
+			return nil, fmt.Errorf("sim: true model for period %d, type %d: %w", p, i, err)
 		}
 		ng.Types[i].Dist = d
 	}
@@ -93,21 +100,23 @@ func (w *World) modelAt(p int) (*auditgame.Instance, string, error) {
 		Seed:     w.bankSeed,
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	w.trueInsts[key] = in
-	return in, key, nil
+	ref, err := w.reference(in)
+	if err != nil {
+		return nil, err
+	}
+	m := &trueModel{in: in, ref: ref, versions: make(map[uint64]*versionEval)}
+	w.models[string(w.keyBuf)] = m
+	return m, nil
 }
 
-// reference returns the reference loss for the model behind key: one
-// CGGS solve of a fresh session at the true model's caps, directly on
-// the true instance — a heuristic, not an optimum — evaluated
-// through the same full best-response Loss as the serving policy so
-// the two sides of the regret are commensurable.
-func (w *World) reference(in *auditgame.Instance, key string) (float64, error) {
-	if l, ok := w.optLoss[key]; ok {
-		return l, nil
-	}
+// reference returns the reference loss on the true instance in: one
+// CGGS solve of a fresh session at the true model's caps — a
+// heuristic, not an optimum — evaluated through the same full
+// best-response Loss as the serving policy so the two sides of the
+// regret are commensurable.
+func (w *World) reference(in *auditgame.Instance) (float64, error) {
 	aud, err := auditgame.NewAuditor(auditgame.AuditorConfig{
 		Instance: in,
 		Method:   auditgame.MethodCGGS,
@@ -119,21 +128,22 @@ func (w *World) reference(in *auditgame.Instance, key string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("sim: reference solve: %w", err)
 	}
-	l := auditgame.Loss(in, res.Mixed)
-	w.optLoss[key] = l
-	return l, nil
+	return auditgame.Loss(in, res.Mixed), nil
 }
 
-// servingLoss evaluates the installed policy on the true model,
-// cached per (model, policy version).
-func (w *World) servingLoss(in *auditgame.Instance, key string, pol *auditgame.Policy, version uint64) float64 {
-	ck := key + "#" + strconv.FormatUint(version, 10)
-	if l, ok := w.servLoss[ck]; ok {
-		return l
+// version returns the evaluation on the model of pol, installed as
+// policy version v, computing it on the version's first use here.
+func (m *trueModel) version(pol *auditgame.Policy, v uint64) (*versionEval, error) {
+	if e, ok := m.versions[v]; ok {
+		return e, nil
 	}
-	l := auditgame.Loss(in, mixedOf(pol))
-	w.servLoss[ck] = l
-	return l
+	pal, err := mixedPal(m.in, pol)
+	if err != nil {
+		return nil, err
+	}
+	e := &versionEval{loss: auditgame.Loss(m.in, mixedOf(pol)), pal: pal}
+	m.versions[v] = e
+	return e, nil
 }
 
 // period runs the period-p event body.
@@ -141,7 +151,12 @@ func (w *World) period(p int) {
 	if w.err != nil {
 		return
 	}
-	in, key, err := w.modelAt(p)
+	specs, err := w.traffic.SpecsAt(p)
+	if err != nil {
+		w.fail(err)
+		return
+	}
+	m, err := w.model(p, specs)
 	if err != nil {
 		w.fail(err)
 		return
@@ -153,19 +168,24 @@ func (w *World) period(p int) {
 	if obsPeriod < 0 {
 		obsPeriod = 0
 	}
-	lagged, _ := w.host.PolicyAt(obsPeriod)
-	serving, version := w.host.PolicyAt(p)
-
-	strike, err := w.attacker.Period(in, lagged, serving)
+	lagged, err := m.version(w.host.PolicyAt(obsPeriod))
 	if err != nil {
 		w.fail(err)
 		return
 	}
-
-	counts, err := w.traffic.Sample(p, w.trafficRNG)
+	serving, version := w.host.PolicyAt(p)
+	served, err := m.version(serving, version)
 	if err != nil {
 		w.fail(err)
 		return
+	}
+	strike := w.attacker.Period(m.in.G, lagged.pal, served.pal)
+
+	// The benign counts are drawn from the true model's own tables, in
+	// type order: one draw of the traffic stream per type.
+	counts := make([]int, len(specs))
+	for t, at := range m.in.G.Types {
+		counts[t] = at.Dist.Sample(w.trafficRNG)
 	}
 	if strike != nil && strike.Type >= 0 {
 		counts[strike.Type]++
@@ -188,12 +208,7 @@ func (w *World) period(p int) {
 		return
 	}
 
-	opt, err := w.reference(in, key)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	loss := w.servingLoss(in, key, serving, version)
+	loss, opt := served.loss, m.ref
 	regret := loss - opt
 	w.cumRegret += regret
 
