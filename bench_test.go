@@ -293,6 +293,7 @@ func benchWarmRegime(b *testing.B, c warmBenchConfig) (coldLoss, warmLoss float6
 		}
 		b.ReportMetric(coldLoss, "loss")
 		b.ReportMetric(float64(stats.MasterSolves), "pricing-rounds")
+		b.ReportMetric(float64(stats.Pivots), "pivots")
 		b.ReportMetric(float64(stats.PalEvals), "pal-evals")
 	})
 
@@ -320,6 +321,7 @@ func benchWarmRegime(b *testing.B, c warmBenchConfig) (coldLoss, warmLoss float6
 		b.ReportMetric(warmLoss, "loss")
 		b.ReportMetric(float64(ws.ColumnsReused), "columns-reused")
 		b.ReportMetric(float64(stats.MasterSolves), "pricing-rounds")
+		b.ReportMetric(float64(stats.Pivots), "pivots")
 		b.ReportMetric(float64(stats.PalEvals), "pal-evals")
 	})
 	return coldLoss, warmLoss

@@ -191,8 +191,8 @@ func TestRefitRetryPassesCancellationThrough(t *testing.T) {
 //   - after the chaos, a fresh fault-free session reproduces the golden
 //     loss to 1e-9 — the faults corrupted no process-global state.
 //
-// CHAOS_ITERS scales the drift/refit cycles (default 6; CI smoke uses
-// fewer, soak runs more).
+// CHAOS_ITERS scales the drift/refit cycles (default 6, which CI's
+// smoke runs too; soak runs use more).
 func TestChaosHammer(t *testing.T) {
 	iters := 6
 	if s := os.Getenv("CHAOS_ITERS"); s != "" {

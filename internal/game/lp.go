@@ -52,9 +52,12 @@ func (in *Instance) SolveFixed(Q []Ordering, b Thresholds) (*LPResult, error) {
 // SolveFixedWarm is SolveFixed with an advisory warm-start basis from a
 // previous solve — typically LPResult.Basis of the last pricing round
 // (the pool grew by one column) or of the pre-refit master (same class
-// structure, perturbed count model). A nil, stale, or structurally
-// incompatible basis degrades to the cold solve; it never changes the
-// result, only the pivot count.
+// structure, perturbed count model). A nil basis, or one from a master
+// with another row count, is ignored and the solve runs cold. A stale
+// basis, one the new coefficients make infeasible, is kept: the simplex
+// starts phase 1 from it (lp.Options.Warm). Either way the result is an
+// optimum of the same LP; the pivot count, and which optimal vertex is
+// reached when several tie, can differ.
 func (in *Instance) SolveFixedWarm(Q []Ordering, b Thresholds, warm *MasterBasis) (*LPResult, error) {
 	return in.solveFixed(Q, b, warm)
 }

@@ -80,7 +80,7 @@ type panelSolve struct {
 // reused columns and the cold solve's last basis. Each solve's
 // objective bits and work counts are pinned, so a change to the warm
 // path that moves any answer or any pivot fails here. A refit's pivots
-// include those of a warm start its first master discards.
+// include its first master's install and auxiliary pivots.
 func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank-panel replay takes several seconds")
@@ -91,84 +91,126 @@ func TestMasterMatchesReferenceBankPanel(t *testing.T) {
 		bank       int64
 		cold, warm panelSolve
 	}{
-		{32, 1, panelSolve{0x40c806039c94fd8b, 33, 2029, 33, 0}, panelSolve{0x40c81c66d896544d, 7, 605, 39, 33}},
-		{40, 1, panelSolve{0x40c805403a521368, 38, 2920, 38, 0}, panelSolve{0x40c80fe80a7e3c58, 12, 1893, 49, 38}},
-		{48, 2, panelSolve{0x40c803c0153f1714, 48, 4400, 48, 0}, panelSolve{0x40c80697b05a2a41, 10, 2032, 57, 48}},
+		{32, 1, panelSolve{0x40c806039c94fd8b, 33, 2029, 33, 0}, panelSolve{0x40c81c66d896544d, 7, 559, 39, 33}},
+		{40, 1, panelSolve{0x40c805403a521368, 38, 2920, 38, 0}, panelSolve{0x40c80fe80a7e3c58, 12, 1056, 49, 38}},
+		{48, 2, panelSolve{0x40c803c0153f1714, 48, 4400, 48, 0}, panelSolve{0x40c80697b05a2a46, 10, 1133, 57, 48}},
 	} {
-		mk := func(scale float64) *game.Game {
-			tmpl := workload.DefaultTemplates()
-			for i := range tmpl {
-				switch tmpl[i].Spec.Kind {
-				case "gaussian":
-					tmpl[i].Spec.Mean *= scale
-				case "poisson":
-					tmpl[i].Spec.Lambda *= scale
-				}
-			}
-			g, _, err := workload.Scaled{Entities: 2000, AlertTypes: p.types, Seed: 1, Templates: tmpl}.Build(workload.Scale{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		}
-		base, drifted := mk(1), mk(1.02)
-		var budget float64
-		for _, at := range base.Types {
-			budget += at.Dist.Mean() * at.Cost
-		}
-		budget *= 0.1
-		thr := base.ThresholdCaps()
-		inBase, err := game.NewInstance(base, budget, sample.NewBank(base.Dists(), 512, p.bank))
-		if err != nil {
-			t.Fatal(err)
-		}
-		inDrift, err := game.NewInstance(drifted, budget, sample.NewBank(drifted.Dists(), 512, p.bank))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		st := solver.NewSolveState(solver.CGGSOptions{})
-		pol, err := st.Solve(context.Background(), inBase, thr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPanelSolve(t, fmt.Sprintf("%d types, cold", p.types), pol, st.Stats(), 0, p.cold)
-		cold, n, err := game.ReplayMasters(inBase, pol.Q, 1, thr, nil)
-		if err != nil {
-			t.Fatalf("%d types, cold: %v", p.types, err)
-		}
-		if want := st.Stats().MasterSolves; n != want {
-			t.Fatalf("%d types, cold: replayed %d masters, the solve ran %d", p.types, n, want)
-		}
-		masters += n
-
-		wpol, err := st.Refit(context.Background(), inDrift, thr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := st.WarmStats()
-		if !ws.Warm {
-			t.Fatalf("%d types: refit fell back cold", p.types)
-		}
-		checkPanelSolve(t, fmt.Sprintf("%d types, warm", p.types), wpol, st.Stats(), ws.ColumnsReused, p.warm)
-		// The refit's pool starts with the cold solve's columns, so its
-		// loss can be no worse than the cold mixed strategy's under the
-		// drifted model (the bank-drift benchmark's check).
-		if seeded := inDrift.Loss(pol.Q, pol.Po, thr); wpol.Objective > seeded+1e-7*math.Max(1, math.Abs(seeded)) {
-			t.Errorf("%d types: warm loss %.17g is worse than the cold policy's %.17g on the drifted instance", p.types, wpol.Objective, seeded)
-		}
-		_, n, err = game.ReplayMasters(inDrift, wpol.Q, ws.ColumnsReused, thr, cold)
-		if err != nil {
-			t.Fatalf("%d types, refit: %v", p.types, err)
-		}
-		if want := st.Stats().MasterSolves; n != want {
-			t.Fatalf("%d types, refit: replayed %d masters, the refit ran %d", p.types, n, want)
-		}
-		masters += n
+		name := fmt.Sprintf("%d types", p.types)
+		r := solveAndRefit(t, name, p.types, 1, p.bank)
+		checkPanelSolve(t, name+", cold", r.cold, r.coldStats, 0, p.cold)
+		checkPanelSolve(t, name+", warm", r.warm, r.warmStats, r.reused, p.warm)
+		masters += r.masters
 	}
 	if masters != 148 {
 		t.Fatalf("replayed %d masters, want the panel's 148", masters)
 	}
+}
+
+// TestBankDriftStallPairsRefitWarm refits the seven draws of the
+// bank-drift recipe (game seed s, bank seed 7s+3) whose refits used to
+// stop at the simplex iteration limit: the first master's warm basis
+// failed its repair, and phase 1 restarted from the crash basis over
+// the whole pool and stalled after about 100,000 pivots. Each must now
+// refit warm, to a loss no worse than the cold policy's on the drifted
+// instance, with every master of both solves replayed and certified.
+func TestBankDriftStallPairsRefitWarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven bank-game solves and refits take a few seconds")
+	}
+	for _, p := range []struct {
+		types int
+		seed  int64
+	}{{40, 15}, {40, 31}, {48, 13}, {48, 25}, {48, 27}, {48, 30}, {48, 31}} {
+		solveAndRefit(t, fmt.Sprintf("%d types, game seed %d", p.types, p.seed), p.types, p.seed, 7*p.seed+3)
+	}
+}
+
+// refitRun is a cold solve and the warm refit that follows it.
+type refitRun struct {
+	cold, warm           *solver.MixedPolicy
+	coldStats, warmStats solver.CGGSStats
+	reused               int // columns the refit reused
+	masters              int // masters replayed, both solves
+}
+
+// solveAndRefit builds the bank-drift recipe's game — 2,000 entities
+// at the given type count and game seed, a 512-realization bank with
+// the given seed, budget a tenth of the expected audit cost,
+// thresholds at the caps — cold-solves it, refits after a ×1.02 drift
+// of every count template's rate, and replays both solves master by
+// master through ReplayMasters, which certifies every master. The
+// refit must run warm and reach a loss no worse than the cold mixed
+// strategy's under the drifted model: its pool starts with the cold
+// solve's columns (the bank-drift benchmark's check).
+func solveAndRefit(t *testing.T, name string, types int, gameSeed, bankSeed int64) refitRun {
+	t.Helper()
+	mk := func(scale float64) *game.Game {
+		tmpl := workload.DefaultTemplates()
+		for i := range tmpl {
+			switch tmpl[i].Spec.Kind {
+			case "gaussian":
+				tmpl[i].Spec.Mean *= scale
+			case "poisson":
+				tmpl[i].Spec.Lambda *= scale
+			}
+		}
+		g, _, err := workload.Scaled{Entities: 2000, AlertTypes: types, Seed: gameSeed, Templates: tmpl}.Build(workload.Scale{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	base, drifted := mk(1), mk(1.02)
+	var budget float64
+	for _, at := range base.Types {
+		budget += at.Dist.Mean() * at.Cost
+	}
+	budget *= 0.1
+	thr := base.ThresholdCaps()
+	inBase, err := game.NewInstance(base, budget, sample.NewBank(base.Dists(), 512, bankSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inDrift, err := game.NewInstance(drifted, budget, sample.NewBank(drifted.Dists(), 512, bankSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := solver.NewSolveState(solver.CGGSOptions{})
+	pol, err := st.Solve(context.Background(), inBase, thr)
+	if err != nil {
+		t.Fatalf("%s, cold: %v", name, err)
+	}
+	r := refitRun{cold: pol, coldStats: st.Stats()}
+	wpol, err := st.Refit(context.Background(), inDrift, thr, nil)
+	if err != nil {
+		t.Fatalf("%s, refit: %v", name, err)
+	}
+	ws := st.WarmStats()
+	if !ws.Warm {
+		t.Fatalf("%s: refit fell back cold", name)
+	}
+	r.warm, r.warmStats, r.reused = wpol, st.Stats(), ws.ColumnsReused
+	if seeded := inDrift.Loss(pol.Q, pol.Po, thr); wpol.Objective > seeded+1e-7*math.Max(1, math.Abs(seeded)) {
+		t.Errorf("%s: warm loss %.17g is worse than the cold policy's %.17g on the drifted instance", name, wpol.Objective, seeded)
+	}
+
+	cold, n, err := game.ReplayMasters(inBase, pol.Q, 1, thr, nil)
+	if err != nil {
+		t.Fatalf("%s, cold: %v", name, err)
+	}
+	if n != r.coldStats.MasterSolves {
+		t.Fatalf("%s, cold: replayed %d masters, the solve ran %d", name, n, r.coldStats.MasterSolves)
+	}
+	_, nw, err := game.ReplayMasters(inDrift, wpol.Q, ws.ColumnsReused, thr, cold)
+	if err != nil {
+		t.Fatalf("%s, refit: %v", name, err)
+	}
+	if nw != r.warmStats.MasterSolves {
+		t.Fatalf("%s, refit: replayed %d masters, the refit ran %d", name, nw, r.warmStats.MasterSolves)
+	}
+	r.masters = n + nw
+	return r
 }
 
 // checkPanelSolve compares one bank-panel solve against its pinned

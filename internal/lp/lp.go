@@ -20,6 +20,11 @@
 // (pivot-row nonzeros), not m × (n+m). A restricted master's pivot rows
 // are mostly zeros.
 //
+// A solve can start warm from an earlier basis (Options.Warm). Its
+// columns are pivoted in directly; when the new data leaves some basic
+// values negative, one pivot on an auxiliary column x₀ (Chvátal 1983,
+// ch. 3) makes the basis feasible, and phase 1 starts from it.
+//
 // Pricing is Dantzig's rule, switching to Bland's rule after a stall
 // window of non-improving pivots; the ratio test breaks ties
 // lexicographically. Neither is a termination proof here: the ratio
@@ -73,10 +78,11 @@ type Options struct {
 	// Warm is an advisory starting basis: columns to pivot into the
 	// basis before phase 1, typically Result.Basis of an earlier solve
 	// of a related problem with its columns renumbered. Entries that
-	// are not structural columns of this problem are skipped, and a
-	// basis that turns out singular or cannot be repaired to
-	// feasibility is discarded for the cold start, so a stale basis
-	// can only cost pivots, never correctness.
+	// are not structural columns of this problem, or that would make
+	// the basis singular, are skipped. A basis infeasible under this
+	// problem's data is kept: phase 1 starts from it with the auxiliary
+	// column x₀ basic. So a stale basis can only cost pivots, never
+	// correctness.
 	Warm []int
 }
 
@@ -88,14 +94,13 @@ type Result struct {
 	Objective float64
 	// X holds the n column values, Y the m row duals (the derivative
 	// of the optimal objective with respect to each bᵢ), and Basis the
-	// column basic in each row (≥ n for an artificial). All three are
-	// nil unless Status is Optimal.
+	// column basic in each row (≥ n for an artificial or x₀). All
+	// three are nil unless Status is Optimal.
 	X, Y  []float64
 	Basis []int
 	// Iterations is the total number of pivots across both phases,
-	// warm-start install and repair pivots included, also those of a
-	// warm start that failed its repair and was discarded for the cold
-	// start, and those that drive artificials out between the phases.
+	// the warm install and the auxiliary pivot included, and those
+	// that drive artificials out between the phases.
 	Iterations int
 	// Phase is the simplex phase the solve ended in: 1 for a phase-1
 	// iteration limit or an infeasible problem, 2 otherwise.
@@ -121,15 +126,18 @@ type Workspace struct {
 	C     []float64
 	Crash []int
 
-	// The tableau is m×(n+m), row-major: [B⁻¹A | B⁻¹], starting at
-	// [A | I]. The artificial block is kept through phase 2 (barred
-	// from entering) because its reduced costs are the duals and its
-	// rows order the lexicographic ratio test.
+	// The tableau is m×(n+m+1), row-major: [B⁻¹A | B⁻¹ | x₀], starting
+	// at [A | I | 0]. The artificial block is kept through phase 2
+	// (barred from entering) because its reduced costs are the duals and
+	// its rows order the lexicographic ratio test. Column n+m is the
+	// auxiliary x₀ that makes an infeasible warm install feasible
+	// (auxiliaryPivot); in every other solve it stays zero and never
+	// enters.
 	tab     []float64
 	rhs     []float64 // current basic values
-	phase1  []float64 // n+m phase-1 costs: 1 on each artificial
-	phase2  []float64 // n+m phase-2 costs: C, then 0 on artificials
-	cbar    []float64 // n+m reduced costs
+	phase1  []float64 // n+m+1 phase-1 costs: 1 on each artificial and x₀
+	phase2  []float64 // n+m+1 phase-2 costs: C, then 0
+	cbar    []float64 // n+m+1 reduced costs
 	z       float64   // current phase objective, updated per pivot
 	basis   []int     // basis[i] = column basic in row i
 	inb     []bool    // inb[j] = column j is basic
@@ -167,18 +175,18 @@ func (w *Workspace) Reset(m, n int) {
 	for i := range w.Crash {
 		w.Crash[i] = -1
 	}
-	w.tab = grow(w.tab, m*(n+m))
+	w.tab = grow(w.tab, m*(n+m+1))
 	w.rhs = grow(w.rhs, m)
-	w.phase1 = grow(w.phase1, n+m)
-	w.phase2 = grow(w.phase2, n+m)
-	w.cbar = grow(w.cbar, n+m)
+	w.phase1 = grow(w.phase1, n+m+1)
+	w.phase2 = grow(w.phase2, n+m+1)
+	w.cbar = grow(w.cbar, n+m+1)
 	w.basis = grow(w.basis, m)
-	w.inb = grow(w.inb, n+m)
-	w.blocked = grow(w.blocked, n+m)
+	w.inb = grow(w.inb, n+m+1)
+	w.blocked = grow(w.blocked, n+m+1)
 	w.claimed = grow(w.claimed, m)
 	w.want = grow(w.want, n+m)
-	w.nzCol = grow(w.nzCol, n+m)
-	w.nzVal = grow(w.nzVal, n+m)
+	w.nzCol = grow(w.nzCol, n+m+1)
+	w.nzVal = grow(w.nzVal, n+m+1)
 	w.x = grow(w.x, n)
 	w.y = grow(w.y, m)
 }

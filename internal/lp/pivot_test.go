@@ -56,11 +56,10 @@ func densePivot(w *Workspace, r, enter int) {
 // twin is a problem loaded into two workspaces that take the same pivot
 // sequence, one through pivot and one through densePivot.
 type twin struct {
-	w, ref   *Workspace
-	pivots   int // pivots taken
-	negative int // pivots on a negative element (warm install and repair)
-	// discarded reports that the warm start failed its repair.
-	discarded bool
+	w, ref    *Workspace
+	pivots    int // pivots taken
+	negative  int // pivots on a negative element (warm install and x₀)
+	auxiliary int // warm starts that took the auxiliary pivot: 0 or 1
 	err       error
 }
 
@@ -100,9 +99,10 @@ func (tw *twin) pivot(r, enter int) {
 // the bases exactly.
 func sameTableau(w, ref *Workspace) error {
 	m, n := w.m, w.n
-	for k, v := range w.tab[:m*(n+m)] {
+	stride := n + m + 1
+	for k, v := range w.tab[:m*stride] {
 		if v != ref.tab[k] {
-			return fmt.Errorf("tableau (%d, %d) = %v, dense %v", k/(n+m), k%(n+m), v, ref.tab[k])
+			return fmt.Errorf("tableau (%d, %d) = %v, dense %v", k/stride, k%stride, v, ref.tab[k])
 		}
 	}
 	for i, v := range w.rhs[:m] {
@@ -113,7 +113,7 @@ func sameTableau(w, ref *Workspace) error {
 			return fmt.Errorf("basis[%d] = %d, dense %d", i, w.basis[i], ref.basis[i])
 		}
 	}
-	for j, v := range w.cbar[:n+m] {
+	for j, v := range w.cbar[:stride] {
 		if v != ref.cbar[j] {
 			return fmt.Errorf("cbar[%d] = %v, dense %v", j, v, ref.cbar[j])
 		}
@@ -124,10 +124,10 @@ func sameTableau(w, ref *Workspace) error {
 	return nil
 }
 
-// run takes Solve's pivot sequence — warm install and repair, the
-// reload when the repair fails, phase 1, the artificial purge and phase
-// 2 — choosing each pivot on the sparse side and taking it on both.
-// It returns Solve's status.
+// run takes Solve's pivot sequence — warm install, the auxiliary pivot
+// when the install lands infeasible, phase 1, the artificial purge and
+// phase 2 — choosing each pivot on the sparse side and taking it on
+// both. It returns Solve's status.
 func (tw *twin) run(o Options) Status {
 	w := tw.w
 	m, n := w.m, w.n
@@ -137,17 +137,14 @@ func (tw *twin) run(o Options) Status {
 	tw.both(func(x *Workspace) {
 		x.load()
 		clear(x.phase1[:n])
-		for j := n; j < n+m; j++ {
+		for j := n; j <= n+m; j++ {
 			x.phase1[j] = 1
 		}
 	})
 	if len(o.Warm) > 0 {
 		tw.both(func(x *Workspace) { x.setObjective(x.phase1) })
 		tw.warmInstall(o.Warm)
-		if !tw.warmRepair() {
-			tw.discarded = true
-			tw.both((*Workspace).load)
-		}
+		tw.auxiliaryPivot()
 	}
 	tw.both(func(x *Workspace) { x.setObjective(x.phase1) })
 	if tw.iterate(o, true) == IterationLimit {
@@ -207,31 +204,27 @@ func (tw *twin) warmInstall(desired []int) {
 	}
 }
 
-// warmRepair is Workspace.warmRepair's pivot choice.
-func (tw *twin) warmRepair() bool {
+// auxiliaryPivot is Workspace.auxiliaryPivot's row choice and x₀
+// column, written into both workspaces.
+func (tw *twin) auxiliaryPivot() {
 	w := tw.w
-	for k := 0; k < 2*w.m+16; k++ {
-		row, worst := -1, -eps
-		for i := 0; i < w.m; i++ {
-			if w.rhs[i] < worst {
-				worst, row = w.rhs[i], i
-			}
+	row, worst := -1, -eps
+	for i := 0; i < w.m; i++ {
+		if w.rhs[i] < worst {
+			worst, row = w.rhs[i], i
 		}
-		if row < 0 {
-			return true
-		}
-		best, enter := pivotTol, -1
-		for j := 0; j < w.n; j++ {
-			if v := -w.at(row, j); !w.inb[j] && v > best {
-				best, enter = v, j
-			}
-		}
-		if enter < 0 {
-			return false
-		}
-		tw.pivot(row, enter)
 	}
-	return false
+	if row < 0 {
+		return
+	}
+	x0 := w.n + w.m
+	for i := 0; i < w.m; i++ {
+		if w.rhs[i] < -eps {
+			tw.both(func(x *Workspace) { x.row(i)[x0] = -1 })
+		}
+	}
+	tw.pivot(row, x0)
+	tw.auxiliary++
 }
 
 // iterate is Workspace.iterate's pivot choice.
@@ -264,11 +257,11 @@ func (tw *twin) iterate(o Options, phase1 bool) Status {
 
 // Lockstep is the outcome of CheckPivotLockstep: Solve's own result on
 // the problem, the pivots the lockstep took, how many of them were on a
-// negative element, and whether the warm start was discarded.
+// negative element, and the warm starts (0 or 1) that took the
+// auxiliary pivot.
 type Lockstep struct {
 	Result
-	Pivots, Negative int
-	Discarded        bool
+	Pivots, Negative, Auxiliary int
 }
 
 // CheckPivotLockstep takes the pivot sequence of Solve(o) on the problem
@@ -281,7 +274,7 @@ func CheckPivotLockstep(w *Workspace, o Options) (Lockstep, error) {
 	if tw.err != nil {
 		return Lockstep{}, tw.err
 	}
-	ls := Lockstep{Result: w.Solve(o), Pivots: tw.pivots, Negative: tw.negative, Discarded: tw.discarded}
+	ls := Lockstep{Result: w.Solve(o), Pivots: tw.pivots, Negative: tw.negative, Auxiliary: tw.auxiliary}
 	if ls.Status != st {
 		return ls, fmt.Errorf("lockstep ended %v, Solve %v", st, ls.Status)
 	}
@@ -334,9 +327,9 @@ func degenerateCase(rng *rand.Rand, nVars, nRows int) lpCase {
 // through the sparse and the dense pivot at once on random degenerate
 // LPs and random matrix games, cold and then warm-started from the
 // basis of the same problem before a perturbation (the warm install and
-// repair pivot on negative elements).
+// the auxiliary pivot take negative pivot elements).
 func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
-	var pivots, negative, discarded int
+	var pivots, negative, auxiliary int
 	check := func(name string, w *Workspace, o Options) []int {
 		t.Helper()
 		ls, err := CheckPivotLockstep(w, o)
@@ -345,9 +338,7 @@ func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
 		}
 		pivots += ls.Pivots
 		negative += ls.Negative
-		if ls.Discarded {
-			discarded++
-		}
+		auxiliary += ls.Auxiliary
 		if ls.Status != Optimal {
 			return nil
 		}
@@ -380,10 +371,10 @@ func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
 		randomGame(rand.New(rand.NewSource(trial)), nStrats, nRows, 0.2).write(&w)
 		check(fmt.Sprintf("game %d, warm", trial), &w, Options{Warm: cold})
 	}
-	if negative == 0 || discarded == 0 {
-		t.Fatalf("%d pivots, %d on a negative element, %d warm starts discarded: want both paths", pivots, negative, discarded)
+	if negative == 0 || auxiliary == 0 {
+		t.Fatalf("%d pivots, %d on a negative element, %d warm starts took the auxiliary pivot: want both paths", pivots, negative, auxiliary)
 	}
-	t.Logf("%d pivots, %d on a negative element, %d warm starts discarded", pivots, negative, discarded)
+	t.Logf("%d pivots, %d on a negative element, %d warm starts took the auxiliary pivot", pivots, negative, auxiliary)
 }
 
 // TestPivotDoesNotAllocate checks that the pivot's gather scratch

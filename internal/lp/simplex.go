@@ -6,7 +6,7 @@ import (
 	"auditgame/internal/fault"
 )
 
-// load initialises the tableau to [A | I] on the crash basis.
+// load initialises the tableau to [A | I | 0] on the crash basis.
 //
 // A row whose crash column carries a +1 coefficient is feasible with
 // that column basic (b ≥ 0), so only the remaining rows start on
@@ -18,14 +18,14 @@ import (
 // pivot chains on rhs-0 rows that let tableau round-off accumulate.
 func (w *Workspace) load() {
 	m, n := w.m, w.n
-	stride := n + m
+	stride := n + m + 1
 	clear(w.inb)
 	clear(w.blocked)
 	for i := 0; i < m; i++ {
 		row := w.tab[i*stride : (i+1)*stride]
 		copy(row[:n], w.A[i*n:(i+1)*n])
 		clear(row[n:])
-		row[n+i] = 1 // artificial
+		row[n+i] = 1 // artificial; x₀ stays 0
 		if j := w.Crash[i]; j >= 0 {
 			w.basis[i] = j
 			w.inb[j] = true
@@ -39,12 +39,12 @@ func (w *Workspace) load() {
 
 // row returns tableau row i.
 func (w *Workspace) row(i int) []float64 {
-	stride := w.n + w.m
+	stride := w.n + w.m + 1
 	return w.tab[i*stride : (i+1)*stride]
 }
 
 // at returns tableau entry (i, j).
-func (w *Workspace) at(i, j int) float64 { return w.tab[i*(w.n+w.m)+j] }
+func (w *Workspace) at(i, j int) float64 { return w.tab[i*(w.n+w.m+1)+j] }
 
 // Solve runs the two-phase simplex method on the problem written since
 // the last Reset.
@@ -57,30 +57,22 @@ func (w *Workspace) Solve(o Options) Result {
 	w.load()
 
 	clear(w.phase1[:n])
-	for j := n; j < n+m; j++ {
+	for j := n; j <= n+m; j++ {
 		w.phase1[j] = 1
 	}
 
 	// Warm start: crash-install the supplied basis by direct pivots
-	// (Gaussian elimination with best-magnitude row choice), then repair
-	// any negative basic values the new data produced. Every step is a
-	// legal basis change on a consistent tableau, so on success the
-	// phases below run exactly as they would from the crash basis — just
-	// from a vertex near the old optimum. If the warm basis turns out
-	// singular or the repair fails, reload the tableau and start cold: a
-	// warm start may only cost time, never correctness. Its pivots count
-	// either way.
+	// (Gaussian elimination with best-magnitude row choice), then, if
+	// the new data left some basic values negative, pivot x₀ in to make
+	// them all non-negative. Every step is a legal basis change on a
+	// consistent tableau, so the phases below run exactly as they would
+	// from the crash basis — just from a vertex near the old optimum.
 	if len(o.Warm) > 0 {
 		w.setObjective(w.phase1) // pivots maintain cbar/z; install under phase-1 costs
-		it := w.warmInstall(o.Warm)
-		rep, ok := w.warmRepair()
-		res.Iterations += it + rep
-		if !ok {
-			w.load()
-		}
+		res.Iterations += w.warmInstall(o.Warm) + w.auxiliaryPivot()
 	}
 
-	// Phase 1: minimize the sum of artificials.
+	// Phase 1: minimize the sum of artificials and x₀.
 	res.Phase = 1
 	w.setObjective(w.phase1)
 	st, it := w.iterate(o, true)
@@ -150,8 +142,9 @@ const warmInstallTol = pivotTol
 // Gaussian-elimination steps: each column enters on the unclaimed row
 // where it has the largest-magnitude entry (partial pivoting), with no
 // ratio test — primal feasibility is deliberately ignored here and
-// restored by warmRepair afterwards. Rows already holding a target
-// column are claimed up front so targets never evict each other.
+// restored by auxiliaryPivot and phase 1 afterwards. Rows already
+// holding a target column are claimed up front so targets never evict
+// each other.
 // Columns that do not exist, are already basic, or have no entry
 // above warmInstallTol on any unclaimed row (a singular warm basis)
 // are skipped. Returns the pivot count.
@@ -192,50 +185,36 @@ func (w *Workspace) warmInstall(desired []int) int {
 	return pivots
 }
 
-// warmRepair restores b ≥ 0 after warmInstall. The install pivots land
-// on the warm basis regardless of feasibility; under perturbed problem
-// data the basic values there are the old ones moved by the
-// perturbation, so infeasibilities are typically a few degenerate zeros
-// pushed slightly negative. Each repair pivot takes the most negative
-// row and brings in the non-basic structural column with the
-// largest-magnitude negative entry in it, which makes that row's value
-// positive while disturbing the rest by O(|b_row|). Artificials are
-// barred (they must stay priceable for the dual extraction). Returns
-// (pivots, ok); ok=false — no eligible entering column, or no
-// convergence within the pivot budget — tells the caller to reload
-// the tableau and start cold.
-func (w *Workspace) warmRepair() (int, bool) {
-	budget := 2*w.m + 16
-	for k := 0; k < budget; k++ {
-		row, worst := -1, -eps
-		for i := 0; i < w.m; i++ {
-			if w.rhs[i] < worst {
-				worst, row = w.rhs[i], i
-			}
+// auxiliaryPivot makes the installed basis primal feasible in one
+// pivot, the one-auxiliary-variable start (Chvátal, Linear Programming,
+// 1983, ch. 3). Under perturbed problem data some basic values land
+// below zero; x₀ gets −1 on exactly those rows and enters on the most
+// negative one, which leaves every basic value non-negative. Phase 1
+// prices x₀ at cost 1 like an artificial and so drives it back to zero
+// from the installed basis. Returns the pivot count, 0 when the basis
+// is feasible and x₀ stays a zero column.
+func (w *Workspace) auxiliaryPivot() int {
+	row, worst := -1, -eps
+	for i, v := range w.rhs {
+		if v < worst {
+			worst, row = v, i
 		}
-		if row < 0 {
-			return k, true
-		}
-		best, enter := pivotTol, -1
-		r := w.row(row)
-		for j := 0; j < w.n; j++ {
-			if w.inb[j] {
-				continue
-			}
-			if v := -r[j]; v > best {
-				best, enter = v, j
-			}
-		}
-		if enter < 0 {
-			return k, false
-		}
-		w.pivot(row, enter)
 	}
-	return budget, false
+	if row < 0 {
+		return 0
+	}
+	x0 := w.n + w.m
+	for i, v := range w.rhs {
+		if v < -eps {
+			w.row(i)[x0] = -1
+		}
+	}
+	w.pivot(row, x0)
+	return 1
 }
 
-// artificialMass sums the current values of basic artificial variables —
-// the exact phase-1 objective at the current vertex.
+// artificialMass sums the current values of basic artificial variables
+// and x₀ — the exact phase-1 objective at the current vertex.
 func (w *Workspace) artificialMass() float64 {
 	var sum float64
 	for i, bj := range w.basis {
@@ -280,8 +259,8 @@ func (w *Workspace) setObjective(c []float64) {
 const pivotTol = 1e-7
 
 // iterate runs primal simplex pivots until optimality, unboundedness, or
-// the iteration cap. phase1 bars nothing; in phase 2 artificial columns
-// may not enter. It starts with Dantzig pricing and falls back to
+// the iteration cap. phase1 bars nothing; in phase 2 the artificial
+// columns and x₀ may not enter. It starts with Dantzig pricing and falls back to
 // Bland's rule after stalling (no objective improvement) for a window
 // of pivots, and chooseLeaving breaks ratio ties lexicographically.
 // Both are meant to stop cycling on degenerate masters, but neither is
@@ -347,9 +326,9 @@ func (w *Workspace) maxColumnEntry(j int) float64 {
 
 // chooseEntering returns the entering column, or -1 at optimality.
 func (w *Workspace) chooseEntering(bland, phase1 bool) int {
-	limit := w.n + w.m
+	limit := w.n + w.m + 1
 	if !phase1 {
-		limit = w.n // artificials may not re-enter in phase 2
+		limit = w.n // artificials and x₀ may not re-enter in phase 2
 	}
 	if bland {
 		for j := 0; j < limit; j++ {
@@ -493,9 +472,9 @@ func (w *Workspace) pivot(r, enter int) {
 	w.inb[enter] = true
 }
 
-// purgeArtificials removes artificial variables that remain basic at zero
-// level after phase 1 by pivoting in any structural column with a nonzero
-// entry in that row. Rows with no such column are linearly dependent and
+// purgeArtificials removes artificial variables (and x₀) that remain
+// basic at zero level after phase 1 by pivoting in any structural column
+// with a nonzero entry in that row. Rows with no such column are linearly dependent and
 // are neutralized (the artificial stays basic at 0; it can never leave and
 // never affects phase 2 because its row is all-zero on structural columns).
 // It returns the number of pivots it took.
