@@ -329,7 +329,9 @@ func (a *Auditor) ensureInstance() error {
 // deadlines propagate into the solver loops: column generation checks
 // the context once per generated column and ISHM before every threshold
 // candidate, so a cancelled solve returns ctx's error within one pricing
-// round and installs nothing.
+// round and installs nothing. Once the session's policy version has
+// reached MaxUint64, every install path (Solve, Refit, SetPolicy)
+// fails and installs nothing: the next version would wrap to 0.
 func (a *Auditor) Solve(ctx context.Context) (*Policy, error) {
 	res, err := a.SolveDetailed(ctx)
 	if err != nil {
@@ -365,8 +367,11 @@ func (a *Auditor) SolveDetailed(ctx context.Context) (*SolveResult, error) {
 	}
 	res.Policy = PolicyFrom(a.game, a.budget, res.Mixed)
 	sp := tr.StartSpan("install")
-	res.PolicyVersion = a.install(res.Policy, a.game.Dists())
+	res.PolicyVersion, err = a.install(res.Policy, a.game.Dists(), nil)
 	sp.EndValue(int64(res.PolicyVersion))
+	if err != nil {
+		return nil, err
+	}
 	res.Trace = tr.Data()
 	return res, nil
 }
@@ -470,12 +475,24 @@ func (a *Auditor) ishmInner(cfg ISHMConfig) solver.Inner {
 // installMu critical section, so concurrent install paths (a finishing
 // refit racing a hot reload) can never leave the tracker's reference
 // version mismatched with the serving policy.
-func (a *Auditor) install(p *Policy, model []Distribution) uint64 {
+//
+// Once the current version is MaxUint64, install refuses with an error
+// and changes nothing: the next version would wrap to 0, the "no
+// policy" value. swap, when non-nil, runs inside the critical section
+// after that check and before p is stored, so a refit swaps its game and
+// instance only when its policy installs.
+func (a *Auditor) install(p *Policy, model []Distribution, swap func()) (uint64, error) {
 	a.installMu.Lock()
 	defer a.installMu.Unlock()
 	v := uint64(1)
 	if old := a.cur.Load(); old != nil {
+		if old.version == math.MaxUint64 {
+			return 0, fmt.Errorf("auditgame: policy version %d is the last one; installing another would wrap to 0", old.version)
+		}
 		v = old.version + 1
+	}
+	if swap != nil {
+		swap()
 	}
 	a.cur.Store(&installedPolicy{p: p, version: v, at: time.Now()})
 	if b := a.refitBinding.Load(); b != nil && model != nil {
@@ -489,7 +506,7 @@ func (a *Auditor) install(p *Policy, model []Distribution) uint64 {
 	if m := a.metrics.Load(); m != nil {
 		m.Installs.Inc()
 	}
-	return v
+	return v, nil
 }
 
 // OnInstall registers fn to be called after every policy install with
@@ -665,8 +682,8 @@ func (a *Auditor) SetPolicy(p *Policy) error {
 	if g != nil {
 		model = g.Dists()
 	}
-	a.install(p, model)
-	return nil
+	_, err := a.install(p, model, nil)
+	return err
 }
 
 // Game returns the bound game, building it on first use for registry

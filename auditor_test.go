@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -396,6 +397,61 @@ func identityPolicy(nT int) *Policy {
 		p.Orderings[0][t] = t
 	}
 	return p
+}
+
+// TestInstallRefusesPastLastVersion is the regression test for a
+// version that wrapped: after RestorePolicy(p, MaxUint64−1), two
+// SetPolicy calls left PolicyVersion() at 0, the "no policy" value.
+// Now the install after MaxUint64 fails on every path — SetPolicy,
+// SolveDetailed and Refit — and leaves the session serving the last
+// policy, and a refused refit leaves the game and instance unswapped.
+func TestInstallRefusesPastLastVersion(t *testing.T) {
+	a, err := NewAuditor(AuditorConfig{Workload: "syna", Budget: 8, Method: MethodExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RestorePolicy(identityPolicy(4), math.MaxUint64-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetPolicy(identityPolicy(4)); err != nil {
+		t.Fatal(err)
+	}
+	last := a.Policy()
+	// Each refusal must be the version's, not some earlier failure.
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "would wrap to 0") {
+			t.Fatalf("%s past version MaxUint64: err %v, want the version refusal", what, err)
+		}
+	}
+	refused("SetPolicy", a.SetPolicy(identityPolicy(4)))
+	_, err = a.SolveDetailed(context.Background())
+	refused("SolveDetailed", err)
+	tr, err := NewTracker(4, TrackerConfig{Window: 10, MinInterval: -1, Cooldown: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AttachTracker(tr, RefitOptions{MinLossDelta: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 10; day++ {
+		if _, err := a.Observe([]int{9 + day%3, 7, 5, 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, in := a.game, a.in
+	_, err = a.Refit(context.Background())
+	refused("Refit", err)
+	if a.game != g || a.in != in {
+		t.Fatal("a refused refit swapped the session's game or instance")
+	}
+	p, v := a.CurrentPolicy()
+	if v != math.MaxUint64 || p != last {
+		t.Fatalf("after the refused installs: version %d (policy kept: %v), want %d", v, p == last, uint64(math.MaxUint64))
+	}
+	if _, v, err := a.SelectVersioned([]int{5, 5, 5, 5}); err != nil || v != math.MaxUint64 {
+		t.Fatalf("select after the refused installs: version %d, err %v", v, err)
+	}
 }
 
 // TestRestorePolicyChecks is the regression test for two checkpoint

@@ -488,25 +488,25 @@ func BenchmarkAblationPivotRule(b *testing.B) {
 			w.C[j] = float64(r.Intn(21) - 10)
 		}
 		for i := 0; i <= m; i++ {
-			row := w.Row(i)
 			if i < m {
 				var atOnes float64
 				for j := 0; j < n; j++ {
-					row[j] = float64(r.Intn(9) - 4)
-					atOnes += row[j]
+					v := float64(r.Intn(9) - 4)
+					w.Col(j)[i] = v
+					atOnes += v
 				}
 				w.B[i] = atOnes + float64(r.Intn(10))
 			} else {
 				for j := 0; j < n; j++ {
-					row[j] = 1
+					w.Col(j)[i] = 1
 				}
 				w.B[i] = 100
 			}
-			row[n+i] = 1
+			w.Col(n + i)[i] = 1
 			if w.B[i] < 0 {
 				w.B[i] = -w.B[i]
-				for j := range row {
-					row[j] *= -1
+				for j := 0; j < n+m+1; j++ {
+					w.Col(j)[i] *= -1
 				}
 			} else {
 				w.Crash[i] = n + i

@@ -129,37 +129,50 @@ func (in *Instance) masterLayout(nQ int) masterLayout {
 }
 
 // writeMaster writes the restricted master into ws under layout l, the
-// objective scaled by 1/weightScale.
+// objective scaled by 1/weightScale, column by column: each pooled
+// ordering's Ua column top to bottom, then the u and slack columns.
 func (in *Instance) writeMaster(ws *lp.Workspace, l masterLayout, pals [][]float64, weightScale float64) {
 	ws.Reset(l.m, l.n)
+	// Ordering o: Ua(o,c,s) on class c's best-response rows, 0 on its
+	// refrain row, and 1 on the simplex row Σ p_o = 1, the last row.
+	for qi, pal := range pals {
+		col := ws.Col(qi)
+		r := 0
+		for ci := range in.classes {
+			cl := &in.classes[ci]
+			for s := range cl.sigs {
+				if v := cl.sigs[s].ua(pal); v != 0 {
+					col[r] = v
+				}
+				r++
+			}
+			if in.G.AllowNoAttack {
+				r++
+			}
+		}
+		col[r] = 1
+	}
 	r := 0
-	for ci, cl := range in.classes {
+	for ci := range in.classes {
+		cl := &in.classes[ci]
 		up, un := l.ue+2*ci, l.ue+2*ci+1
 		cost := cl.weight / weightScale
 		ws.C[up], ws.C[un] = cost, -cost
+		cup, cun := ws.Col(up), ws.Col(un)
 		// Best response: Σ_o p_o·Ua(o,c,s) − u_c⁺ + u_c⁻ + slack = 0,
 		// starting on its slack.
-		for s := range cl.sigs {
-			row := ws.Row(r)
-			for qi, pal := range pals {
-				if v := cl.sigs[s].ua(pal); v != 0 {
-					row[qi] = v
-				}
-			}
-			row[up], row[un], row[l.slack+r] = -1, 1, 1
+		for range cl.sigs {
+			cup[r], cun[r] = -1, 1
+			ws.Col(l.slack + r)[r] = 1
 			ws.Crash[r] = l.slack + r
 			r++
 		}
 		// Refrain: u_c⁺ − u_c⁻ − surplus = 0, starting on its artificial.
 		if in.G.AllowNoAttack {
-			row := ws.Row(r)
-			row[up], row[un], row[l.slack+r] = 1, -1, -1
+			cup[r], cun[r] = 1, -1
+			ws.Col(l.slack + r)[r] = -1
 			r++
 		}
-	}
-	row := ws.Row(r)
-	for qi := 0; qi < l.nQ; qi++ {
-		row[qi] = 1
 	}
 	ws.B[r] = 1
 }

@@ -71,7 +71,7 @@ func (p *refProblem) setCoeff(c, v int, coeff float64) {
 // map a solution back.
 type refStandard struct {
 	m, n     int
-	a        []float64 // m×n, row-major
+	a        []float64 // m×n, column-major as lp.Workspace.A
 	b, c     []float64
 	colOfVar []int
 	negCol   []int
@@ -124,8 +124,9 @@ func (p *refProblem) toStandard() *refStandard {
 		}
 		s.objOffset += v.obj * v.shift
 	}
+	row := make([]float64, s.n)
 	for i, con := range p.cons {
-		row := s.a[i*s.n : (i+1)*s.n]
+		clear(row)
 		rhs := con.rhs
 		for v, coeff := range con.coeff {
 			row[s.colOfVar[v]] += coeff
@@ -151,6 +152,9 @@ func (p *refProblem) toStandard() *refStandard {
 		s.crashCol[i] = -1
 		if s.slackCol[i] >= 0 && row[s.slackCol[i]] == 1 {
 			s.crashCol[i] = s.slackCol[i]
+		}
+		for j, v := range row {
+			s.a[j*s.m+i] = v
 		}
 	}
 	return s

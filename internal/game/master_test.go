@@ -411,9 +411,12 @@ func TestMasterPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestMasterWorkspaceReuse solves a large master, a small one and the
-// large one again on one workspace: the repeat must equal a fresh
-// workspace's solve bit for bit.
+// TestMasterWorkspaceReuse solves a sequence of masters on one
+// workspace, and each solve must equal a fresh workspace's bit for bit:
+// a large master, a small one and the large one again, then the small
+// instance over the whole pool and the large one over three orderings,
+// so the row count (the tableau's column stride) shrinks and grows
+// while the column count moves the other way.
 func TestMasterWorkspaceReuse(t *testing.T) {
 	g := SynA()
 	g.AllowNoAttack = true
@@ -433,24 +436,27 @@ func TestMasterWorkspaceReuse(t *testing.T) {
 		in.writeMaster(ws, l, in.PalBatch(Q, b), 1)
 		return ws.Solve(lp.Options{})
 	}
-	var fresh lp.Workspace
-	want := solve(&fresh, large, all)
 	var ws lp.Workspace
-	solve(&ws, large, all)
-	solve(&ws, small, all[:2])
-	got := solve(&ws, large, all)
-	if got.Status != lp.Optimal || got.Iterations != want.Iterations {
-		t.Fatalf("reused: %v after %d pivots; fresh: %v after %d", got.Status, got.Iterations, want.Status, want.Iterations)
-	}
-	for _, d := range []struct {
-		what      string
-		got, want []float64
-	}{{"objective", []float64{got.Objective}, []float64{want.Objective}}, {"X", got.X, want.X}, {"Y", got.Y, want.Y}} {
-		if err := bitsDiff(d.what, d.got, d.want); err != nil {
+	for k, c := range []struct {
+		in *Instance
+		Q  []Ordering
+	}{{large, all}, {small, all[:2]}, {large, all}, {small, all}, {large, all[:3]}} {
+		var fresh lp.Workspace
+		want := solve(&fresh, c.in, c.Q)
+		got := solve(&ws, c.in, c.Q)
+		if got.Status != lp.Optimal || got.Iterations != want.Iterations {
+			t.Fatalf("solve %d, reused: %v after %d pivots; fresh: %v after %d", k, got.Status, got.Iterations, want.Status, want.Iterations)
+		}
+		for _, d := range []struct {
+			what      string
+			got, want []float64
+		}{{"objective", []float64{got.Objective}, []float64{want.Objective}}, {"X", got.X, want.X}, {"Y", got.Y, want.Y}} {
+			if err := bitsDiff(fmt.Sprintf("solve %d: %s", k, d.what), d.got, d.want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := intsDiff(fmt.Sprintf("solve %d: basis", k), got.Basis, want.Basis); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := intsDiff("basis", got.Basis, want.Basis); err != nil {
-		t.Fatal(err)
 	}
 }

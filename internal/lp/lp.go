@@ -14,11 +14,17 @@
 // across solves so a caller solving thousands of small LPs allocates
 // almost nothing.
 //
-// The tableau is stored dense but pivoted sparse: a pivot updates each
-// row it touches (those with a nonzero in the entering column) only at
-// the pivot row's nonzero columns, so it costs (touched rows) ×
-// (pivot-row nonzeros), not m × (n+m). A restricted master's pivot rows
-// are mostly zeros.
+// The tableau is stored dense and column-major, column j of an m-row
+// problem at tab[j*m:(j+1)*m], so the ratio test, the warm install's
+// row choice and the pricing of a new objective each read contiguous
+// columns. A pivot gathers the pivot row's nonzeros, a strided read,
+// and updates only those columns: by index over just the rows with a
+// nonzero in the entering column when fewer than a quarter of the rows
+// have one, and otherwise by sweeping the whole column (the
+// density-driven choice of Hall and McKinnon, "Hyper-sparsity in the
+// revised simplex method and how to exploit it", 2005). A restricted
+// master's pivot rows are mostly zeros, and most of its pivots touch
+// most rows.
 //
 // A solve can start warm from an earlier basis (Options.Warm). Its
 // columns are pivoted in directly; when the new data leaves some basic
@@ -117,7 +123,8 @@ type Result struct {
 type Workspace struct {
 	m, n int
 
-	// A is the m×n constraint matrix, row-major; B the m right-hand
+	// A is the m×n constraint matrix, column-major: column j at
+	// A[j*m:(j+1)*m], written through Col. B holds the m right-hand
 	// sides, each ≥ 0; C the n costs. Crash[i] is the column that
 	// starts basic in row i — it must be a unit column with +1 in row
 	// i — or −1 to start the row on its artificial.
@@ -126,10 +133,12 @@ type Workspace struct {
 	C     []float64
 	Crash []int
 
-	// The tableau is m×(n+m+1), row-major: [B⁻¹A | B⁻¹ | x₀], starting
-	// at [A | I | 0]. The artificial block is kept through phase 2
-	// (barred from entering) because its reduced costs are the duals and
-	// its rows order the lexicographic ratio test. Column n+m is the
+	// The tableau [B⁻¹A | B⁻¹ | x₀] has n+m+1 columns of m entries,
+	// stored like A: column j at tab[j*m:(j+1)*m]. It starts at
+	// [A | I | 0], so load is one copy of A and the artificial
+	// diagonal. The artificial block is kept through phase 2 (barred
+	// from entering) because its reduced costs are the duals and its
+	// rows order the lexicographic ratio test. Column n+m is the
 	// auxiliary x₀ that makes an infeasible warm install feasible
 	// (auxiliaryPivot); in every other solve it stays zero and never
 	// enters.
@@ -147,6 +156,8 @@ type Workspace struct {
 	want    []bool    // warmInstall: target columns
 	nzCol   []int     // pivot: the pivot row's nonzero columns
 	nzVal   []float64 // pivot: their scaled values
+	mult    []float64 // pivot: the entering column, 0 in row r; setObjective: the nonzero basic costs
+	touched []int     // pivot: the rows with a nonzero multiplier; setObjective: the rows of those costs
 	x, y    []float64 // results
 }
 
@@ -187,9 +198,11 @@ func (w *Workspace) Reset(m, n int) {
 	w.want = grow(w.want, n+m)
 	w.nzCol = grow(w.nzCol, n+m+1)
 	w.nzVal = grow(w.nzVal, n+m+1)
+	w.mult = grow(w.mult, m)
+	w.touched = grow(w.touched, m)
 	w.x = grow(w.x, n)
 	w.y = grow(w.y, m)
 }
 
-// Row returns row i of A, for writing.
-func (w *Workspace) Row(i int) []float64 { return w.A[i*w.n : (i+1)*w.n] }
+// Col returns column j of A, for writing.
+func (w *Workspace) Col(j int) []float64 { return w.A[j*w.m : (j+1)*w.m] }

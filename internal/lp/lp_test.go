@@ -34,8 +34,9 @@ type lpCase struct {
 // write puts the case into w in standard form: the len(c) columns, then
 // one slack (≤) or surplus (≥) column per inequality row in row order;
 // a row with negative rhs is multiplied by −1; a row whose slack then
-// carries +1 crashes on it. It returns the rows it flipped, whose
-// duals change sign.
+// carries +1 crashes on it. Each row is built whole and then scattered
+// into A's columns. It returns the rows it flipped, whose duals change
+// sign.
 func (lc lpCase) write(w *Workspace) (flipped []bool) {
 	n := len(lc.c)
 	for _, r := range lc.rows {
@@ -47,8 +48,9 @@ func (lc lpCase) write(w *Workspace) (flipped []bool) {
 	copy(w.C, lc.c)
 	flipped = make([]bool, len(lc.rows))
 	slack := len(lc.c)
+	a := make([]float64, n)
 	for i, r := range lc.rows {
-		a := w.Row(i)
+		clear(a)
 		copy(a, r.coef)
 		s := -1
 		switch r.rel {
@@ -69,6 +71,9 @@ func (lc lpCase) write(w *Workspace) (flipped []bool) {
 		}
 		if s >= 0 && a[s] == 1 {
 			w.Crash[i] = s
+		}
+		for j, v := range a {
+			w.Col(j)[i] = v
 		}
 	}
 	return flipped
@@ -422,28 +427,36 @@ func TestIterationLimitStatus(t *testing.T) {
 	}
 }
 
-// TestWorkspaceReuseMatchesFresh solves a large LP, a small one and the
-// large one again on one workspace: the repeat must equal a fresh
-// workspace's solve bit for bit.
+// TestWorkspaceReuseMatchesFresh solves a sequence of LPs on one
+// workspace, and each solve must equal a fresh workspace's bit for bit.
+// The row count, which is the tableau's column stride, shrinks and
+// grows along the way: large → small → large, the shrink-and-grow
+// with the storage's capacity already in hand, and then a wide LP, a
+// tall one and the wide one again, where m and n move in opposite
+// directions.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	large, small := randomGame(rng, 40, 30, 0), randomGame(rng, 4, 3, 0)
-	fresh := large.solve(Options{})
+	wide, tall := randomGame(rng, 60, 8, 0), randomGame(rng, 6, 40, 0)
 	var w Workspace
-	for _, lc := range []lpCase{large, small} {
+	for k, lc := range []lpCase{large, small, large, wide, tall, wide} {
+		fresh := lc.solve(Options{})
 		lc.write(&w)
-		w.Solve(Options{})
-	}
-	large.write(&w)
-	got := w.Solve(Options{})
-	if got.Status != Optimal || got.Iterations != fresh.Iterations ||
-		math.Float64bits(got.Objective) != math.Float64bits(fresh.Objective) {
-		t.Fatalf("reused workspace: %v, %d pivots, objective %v; fresh: %v, %d, %v",
-			got.Status, got.Iterations, got.Objective, fresh.Status, fresh.Iterations, fresh.Objective)
-	}
-	for i := range fresh.Y {
-		if math.Float64bits(got.Y[i]) != math.Float64bits(fresh.Y[i]) || got.Basis[i] != fresh.Basis[i] {
-			t.Fatalf("row %d: dual %v basic %d, fresh %v %d", i, got.Y[i], got.Basis[i], fresh.Y[i], fresh.Basis[i])
+		got := w.Solve(Options{})
+		if got.Status != Optimal || got.Iterations != fresh.Iterations ||
+			math.Float64bits(got.Objective) != math.Float64bits(fresh.Objective) {
+			t.Fatalf("solve %d, reused workspace: %v, %d pivots, objective %v; fresh: %v, %d, %v",
+				k, got.Status, got.Iterations, got.Objective, fresh.Status, fresh.Iterations, fresh.Objective)
+		}
+		for j := range fresh.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(fresh.X[j]) {
+				t.Fatalf("solve %d, column %d: value %v, fresh %v", k, j, got.X[j], fresh.X[j])
+			}
+		}
+		for i := range fresh.Y {
+			if math.Float64bits(got.Y[i]) != math.Float64bits(fresh.Y[i]) || got.Basis[i] != fresh.Basis[i] {
+				t.Fatalf("solve %d, row %d: dual %v basic %d, fresh %v %d", k, i, got.Y[i], got.Basis[i], fresh.Y[i], fresh.Basis[i])
+			}
 		}
 	}
 }

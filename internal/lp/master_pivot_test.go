@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"auditgame/internal/game"
@@ -28,7 +29,7 @@ type master struct {
 	scale   float64   // Σ weights, by which the objective is divided
 }
 
-func newMaster(t *testing.T, in *game.Instance) *master {
+func newMaster(t testing.TB, in *game.Instance) *master {
 	t.Helper()
 	probe := make([]float64, len(in.G.Types))
 	for ty := range probe {
@@ -60,7 +61,7 @@ func newMaster(t *testing.T, in *game.Instance) *master {
 }
 
 // write writes the master over one pal vector per pooled ordering into
-// w and returns its column count.
+// w, column by column, and returns its column count.
 func (mt *master) write(w *lp.Workspace, pals [][]float64) int {
 	nQ, nC := len(pals), len(mt.reps)
 	m := 1
@@ -73,35 +74,36 @@ func (mt *master) write(w *lp.Workspace, pals [][]float64) int {
 	ue, slack := nQ, nQ+2*nC
 	n := slack + m - 1
 	w.Reset(m, n)
+	for qi, pal := range pals {
+		col := w.Col(qi)
+		r := 0
+		for _, e := range mt.reps {
+			for _, v := range mt.in.UaRow(e, pal) {
+				if v != 0 {
+					col[r] = v
+				}
+				r++
+			}
+			if mt.in.G.AllowNoAttack {
+				r++
+			}
+		}
+		col[r] = 1
+	}
 	r := 0
 	for ci, e := range mt.reps {
 		up, un := ue+2*ci, ue+2*ci+1
 		cost := mt.weights[ci] / mt.scale
 		w.C[up], w.C[un] = cost, -cost
-		ua := make([][]float64, nQ)
-		for qi, pal := range pals {
-			ua[qi] = mt.in.UaRow(e, pal)
-		}
 		for s := 0; s < mt.in.NumSignatures(e); s++ {
-			row := w.Row(r)
-			for qi := range pals {
-				if v := ua[qi][s]; v != 0 {
-					row[qi] = v
-				}
-			}
-			row[up], row[un], row[slack+r] = -1, 1, 1
+			w.Col(up)[r], w.Col(un)[r], w.Col(slack + r)[r] = -1, 1, 1
 			w.Crash[r] = slack + r
 			r++
 		}
 		if mt.in.G.AllowNoAttack {
-			row := w.Row(r)
-			row[up], row[un], row[slack+r] = 1, -1, -1
+			w.Col(up)[r], w.Col(un)[r], w.Col(slack + r)[r] = 1, -1, -1
 			r++
 		}
-	}
-	row := w.Row(r)
-	for qi := 0; qi < nQ; qi++ {
-		row[qi] = 1
 	}
 	w.B[r] = 1
 	return n
@@ -134,17 +136,16 @@ func solveBoth(t *testing.T, name string, mt *master, Q []game.Ordering, b game.
 	return ls, res, n
 }
 
-// TestPivotMatchesDenseOnBankPanelMasters replays the 48-type bank-drift
-// panel game's column-generation solve and its warm refit after a ×1.02
-// drift master by master, warm-starting each from the last as the
-// solver does, and takes every master's pivot sequence through the
-// sparse and the dense pivot at once. The refit's first master
-// installs the cold solve's basis, which the drift made infeasible, and
-// takes the auxiliary pivot.
-func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the bank-panel replay takes a few seconds")
-	}
+// replayBankPanel builds the 48-type bank-drift panel game, runs its
+// column-generation solve and its warm refit after a ×1.02 drift, and
+// walks both master by master in order, warm-starting each rebuilt
+// master from the last as the solver does. step gets each master's
+// name, rebuild, pool, thresholds and warm start, and returns the
+// rebuilt master's optimal basis and column count. The refit's first
+// master installs the cold solve's basis, which the drift made
+// infeasible. replayBankPanel returns the number of masters walked.
+func replayBankPanel(tb testing.TB, step func(name string, mt *master, Q []game.Ordering, thr game.Thresholds, warm []int) (basis []int, n int)) int {
+	tb.Helper()
 	mk := func(scale float64) *game.Game {
 		tmpl := workload.DefaultTemplates()
 		for i := range tmpl {
@@ -157,7 +158,7 @@ func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
 		}
 		g, _, err := workload.Scaled{Entities: 2000, AlertTypes: 48, Seed: 1, Templates: tmpl}.Build(workload.Scale{})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return g
 	}
@@ -170,20 +171,20 @@ func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
 	thr := game.Thresholds(base.ThresholdCaps())
 	inBase, err := game.NewInstance(base, budget, sample.NewBank(base.Dists(), 512, 2))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	inDrift, err := game.NewInstance(drifted, budget, sample.NewBank(drifted.Dists(), 512, 2))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	st := solver.NewSolveState(solver.CGGSOptions{})
 	pol, err := st.Solve(context.Background(), inBase, thr)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	wpol, err := st.Refit(context.Background(), inDrift, thr, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	// The warm start of each master: the last master's basis with its
@@ -192,7 +193,6 @@ func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
 		lastQ     []game.Ordering
 		lastBasis []int
 		lastN     int
-		gameWarm  *game.MasterBasis
 	)
 	warmFor := func(Q []game.Ordering) []int {
 		at := make(map[string]int, len(Q))
@@ -212,26 +212,90 @@ func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
 		}
 		return cols
 	}
-	var pivots, negative, auxiliary, masters int
+	masters := 0
 	replay := func(mt *master, Q []game.Ordering, first int, what string) {
 		for k := first; k <= len(Q); k++ {
-			ls, res, n := solveBoth(t, fmt.Sprintf("%s, %d columns", what, k), mt, Q[:k], thr, warmFor(Q[:k]), gameWarm)
-			lastQ, lastBasis, lastN, gameWarm = Q[:k], ls.Basis, n, res.Basis
-			pivots += ls.Pivots
-			negative += ls.Negative
-			auxiliary += ls.Auxiliary
+			basis, n := step(fmt.Sprintf("%s, %d columns", what, k), mt, Q[:k], thr, warmFor(Q[:k]))
+			lastQ, lastBasis, lastN = Q[:k], basis, n
 			masters++
 		}
 	}
-	replay(newMaster(t, inBase), pol.Q, 1, "cold")
-	replay(newMaster(t, inDrift), wpol.Q, st.WarmStats().ColumnsReused, "refit")
+	replay(newMaster(tb, inBase), pol.Q, 1, "cold")
+	replay(newMaster(tb, inDrift), wpol.Q, st.WarmStats().ColumnsReused, "refit")
+	return masters
+}
+
+// TestPivotMatchesDenseOnBankPanelMasters replays the 48-type bank-drift
+// panel game's column-generation solve and its warm refit master by
+// master (replayBankPanel) and takes every master's pivot sequence
+// through the sparse and the dense pivot at once. The refit's first
+// master takes the auxiliary pivot.
+func TestPivotMatchesDenseOnBankPanelMasters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the bank-panel replay takes a few seconds")
+	}
+	var (
+		gameWarm                                    *game.MasterBasis
+		pivots, indexed, whole, negative, auxiliary int
+	)
+	masters := replayBankPanel(t, func(name string, mt *master, Q []game.Ordering, thr game.Thresholds, warm []int) ([]int, int) {
+		ls, res, n := solveBoth(t, name, mt, Q, thr, warm, gameWarm)
+		gameWarm = res.Basis
+		pivots += ls.Pivots
+		indexed += ls.Indexed
+		whole += ls.Whole
+		negative += ls.Negative
+		auxiliary += ls.Auxiliary
+		return ls.Basis, n
+	})
 	if want := 48 + 10; masters != want {
 		t.Fatalf("replayed %d masters, want the panel game's %d", masters, want)
 	}
-	if negative == 0 || auxiliary == 0 {
-		t.Fatalf("%d pivots, %d on a negative element, %d warm starts took the auxiliary pivot: want both paths", pivots, negative, auxiliary)
+	if negative == 0 || auxiliary == 0 || indexed == 0 || whole == 0 {
+		t.Fatalf("%d pivots (%d indexed, %d whole-column), %d on a negative element, %d warm starts took the auxiliary pivot: want every path",
+			pivots, indexed, whole, negative, auxiliary)
 	}
-	t.Logf("%d masters, %d pivots, %d on a negative element, %d warm starts took the auxiliary pivot", masters, pivots, negative, auxiliary)
+	t.Logf("%d masters, %d pivots (%d indexed, %d whole-column), %d on a negative element, %d warm starts took the auxiliary pivot",
+		masters, pivots, indexed, whole, negative, auxiliary)
+}
+
+// BenchmarkMasterPivots solves the 58 masters of the 48-type bank panel
+// (the cold solve, then the refit; replayBankPanel), each rebuilt and
+// warm-started as the solver does, through Solve. ns/pivot is the time
+// per pivot, install and auxiliary pivots included, and pivots the
+// count per op; building the masters is outside the timed loop.
+func BenchmarkMasterPivots(b *testing.B) {
+	type problem struct {
+		a, rhs, c   []float64
+		crash, warm []int
+	}
+	var (
+		w     lp.Workspace
+		probs []problem
+	)
+	replayBankPanel(b, func(name string, mt *master, Q []game.Ordering, thr game.Thresholds, warm []int) ([]int, int) {
+		n := mt.write(&w, mt.in.PalBatch(Q, thr))
+		probs = append(probs, problem{slices.Clone(w.A), slices.Clone(w.B), slices.Clone(w.C), slices.Clone(w.Crash), warm})
+		res := w.Solve(lp.Options{Warm: warm})
+		if res.Status != lp.Optimal {
+			b.Fatalf("%s: %v", name, res.Status)
+		}
+		return slices.Clone(res.Basis), n
+	})
+	b.ResetTimer()
+	pivots := 0
+	for i := 0; i < b.N; i++ {
+		for _, p := range probs {
+			w.Reset(len(p.rhs), len(p.c))
+			copy(w.A, p.a)
+			copy(w.B, p.rhs)
+			copy(w.C, p.c)
+			copy(w.Crash, p.crash)
+			pivots += w.Solve(lp.Options{Warm: p.warm}).Iterations
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots")
 }
 
 // TestPivotMatchesDenseOnTable3LPs takes the Table III brute force's LP

@@ -7,32 +7,33 @@ import (
 	"testing"
 )
 
-// densePivot is the full-row pivot that pivot replaced, kept as the
-// reference it must match: it scales every entry of row r and updates
-// every entry of each row with a nonzero in the entering column, and
-// of the reduced-cost row.
+// densePivot is the full-row pivot of the row-major tableau that
+// pivot replaced, kept as the reference it must match: it scales every
+// entry of row r and updates every entry of each row with a nonzero in
+// the entering column, row after row, and then the reduced-cost row.
+// It indexes the tableau by (i, j), so it does not depend on the layout.
 func densePivot(w *Workspace, r, enter int) {
-	rowR := w.row(r)
-	inv := 1 / rowR[enter]
-	for j := range rowR {
-		rowR[j] *= inv
+	m, cols := w.m, w.n+w.m+1
+	at := func(i, j int) *float64 { return &w.tab[j*m+i] }
+	inv := 1 / *at(r, enter)
+	for j := 0; j < cols; j++ {
+		*at(r, j) *= inv
 	}
 	w.rhs[r] *= inv
-	rowR[enter] = 1 // exact
+	*at(r, enter) = 1 // exact
 
-	for i := 0; i < w.m; i++ {
+	for i := 0; i < m; i++ {
 		if i == r {
 			continue
 		}
-		rowI := w.row(i)
-		f := rowI[enter]
+		f := *at(i, enter)
 		if f == 0 {
 			continue
 		}
-		for j := range rowI {
-			rowI[j] -= f * rowR[j]
+		for j := 0; j < cols; j++ {
+			*at(i, j) -= f * *at(r, j)
 		}
-		rowI[enter] = 0 // exact
+		*at(i, enter) = 0 // exact
 		w.rhs[i] -= f * w.rhs[r]
 		if w.rhs[i] < 0 && w.rhs[i] > -eps {
 			w.rhs[i] = 0
@@ -41,8 +42,8 @@ func densePivot(w *Workspace, r, enter int) {
 
 	f := w.cbar[enter]
 	if f != 0 {
-		for j := range w.cbar {
-			w.cbar[j] -= f * rowR[j]
+		for j := 0; j < cols; j++ {
+			w.cbar[j] -= f * *at(r, j)
 		}
 		w.cbar[enter] = 0
 		w.z += f * w.rhs[r]
@@ -58,6 +59,8 @@ func densePivot(w *Workspace, r, enter int) {
 type twin struct {
 	w, ref    *Workspace
 	pivots    int // pivots taken
+	indexed   int // pivots that updated their columns by index
+	whole     int // pivots that swept their columns whole
 	negative  int // pivots on a negative element (warm install and x₀)
 	auxiliary int // warm starts that took the auxiliary pivot: 0 or 1
 	err       error
@@ -86,6 +89,11 @@ func (tw *twin) pivot(r, enter int) {
 	if tw.w.at(r, enter) < 0 {
 		tw.negative++
 	}
+	if indexedSweep(touchedRows(tw.w, r, enter), tw.w.m) {
+		tw.indexed++
+	} else {
+		tw.whole++
+	}
 	tw.w.pivot(r, enter)
 	densePivot(tw.ref, r, enter)
 	tw.pivots++
@@ -94,15 +102,29 @@ func (tw *twin) pivot(r, enter int) {
 	}
 }
 
+// touchedRows counts the rows other than r with a nonzero in column
+// enter: the rows whose entries pivot(r, enter) updates.
+func touchedRows(w *Workspace, r, enter int) int {
+	touched := 0
+	for i, a := range w.col(enter) {
+		if i != r && a != 0 {
+			touched++
+		}
+	}
+	return touched
+}
+
 // sameTableau compares every tableau entry, basic value and reduced
 // cost and the objective by value, so −0 and +0 count as equal, and
 // the bases exactly.
 func sameTableau(w, ref *Workspace) error {
 	m, n := w.m, w.n
 	stride := n + m + 1
-	for k, v := range w.tab[:m*stride] {
-		if v != ref.tab[k] {
-			return fmt.Errorf("tableau (%d, %d) = %v, dense %v", k/stride, k%stride, v, ref.tab[k])
+	for i := 0; i < m; i++ {
+		for j := 0; j < stride; j++ {
+			if v, want := w.at(i, j), ref.at(i, j); v != want {
+				return fmt.Errorf("tableau (row %d, column %d) = %v, dense %v", i, j, v, want)
+			}
 		}
 	}
 	for i, v := range w.rhs[:m] {
@@ -220,7 +242,7 @@ func (tw *twin) auxiliaryPivot() {
 	x0 := w.n + w.m
 	for i := 0; i < w.m; i++ {
 		if w.rhs[i] < -eps {
-			tw.both(func(x *Workspace) { x.row(i)[x0] = -1 })
+			tw.both(func(x *Workspace) { x.col(x0)[i] = -1 })
 		}
 	}
 	tw.pivot(row, x0)
@@ -256,12 +278,13 @@ func (tw *twin) iterate(o Options, phase1 bool) Status {
 }
 
 // Lockstep is the outcome of CheckPivotLockstep: Solve's own result on
-// the problem, the pivots the lockstep took, how many of them were on a
-// negative element, and the warm starts (0 or 1) that took the
+// the problem, the pivots the lockstep took, how many of them updated
+// their columns by index and how many swept them whole, how many were
+// on a negative element, and the warm starts (0 or 1) that took the
 // auxiliary pivot.
 type Lockstep struct {
 	Result
-	Pivots, Negative, Auxiliary int
+	Pivots, Indexed, Whole, Negative, Auxiliary int
 }
 
 // CheckPivotLockstep takes the pivot sequence of Solve(o) on the problem
@@ -274,7 +297,8 @@ func CheckPivotLockstep(w *Workspace, o Options) (Lockstep, error) {
 	if tw.err != nil {
 		return Lockstep{}, tw.err
 	}
-	ls := Lockstep{Result: w.Solve(o), Pivots: tw.pivots, Negative: tw.negative, Auxiliary: tw.auxiliary}
+	ls := Lockstep{Result: w.Solve(o), Pivots: tw.pivots, Indexed: tw.indexed, Whole: tw.whole,
+		Negative: tw.negative, Auxiliary: tw.auxiliary}
 	if ls.Status != st {
 		return ls, fmt.Errorf("lockstep ended %v, Solve %v", st, ls.Status)
 	}
@@ -329,7 +353,7 @@ func degenerateCase(rng *rand.Rand, nVars, nRows int) lpCase {
 // basis of the same problem before a perturbation (the warm install and
 // the auxiliary pivot take negative pivot elements).
 func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
-	var pivots, negative, auxiliary int
+	var pivots, indexed, whole, negative, auxiliary int
 	check := func(name string, w *Workspace, o Options) []int {
 		t.Helper()
 		ls, err := CheckPivotLockstep(w, o)
@@ -337,6 +361,8 @@ func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		pivots += ls.Pivots
+		indexed += ls.Indexed
+		whole += ls.Whole
 		negative += ls.Negative
 		auxiliary += ls.Auxiliary
 		if ls.Status != Optimal {
@@ -371,18 +397,29 @@ func TestPivotMatchesDenseOnRandomLPs(t *testing.T) {
 		randomGame(rand.New(rand.NewSource(trial)), nStrats, nRows, 0.2).write(&w)
 		check(fmt.Sprintf("game %d, warm", trial), &w, Options{Warm: cold})
 	}
-	if negative == 0 || auxiliary == 0 {
-		t.Fatalf("%d pivots, %d on a negative element, %d warm starts took the auxiliary pivot: want both paths", pivots, negative, auxiliary)
+	if negative == 0 || auxiliary == 0 || indexed == 0 || whole == 0 {
+		t.Fatalf("%d pivots (%d indexed, %d whole-column), %d on a negative element, %d warm starts took the auxiliary pivot: want every path",
+			pivots, indexed, whole, negative, auxiliary)
 	}
-	t.Logf("%d pivots, %d on a negative element, %d warm starts took the auxiliary pivot", pivots, negative, auxiliary)
+	t.Logf("%d pivots (%d indexed, %d whole-column), %d on a negative element, %d warm starts took the auxiliary pivot",
+		pivots, indexed, whole, negative, auxiliary)
 }
 
-// TestPivotDoesNotAllocate checks that the pivot's gather scratch
-// belongs to the workspace.
+// TestPivotDoesNotAllocate checks that the pivot's scratch — the
+// gathered pivot row, the multiplier copy and the touched rows —
+// belongs to the workspace, on both sweeps: entering a non-basic
+// artificial touches no other row, and entering a structural column of
+// the game touches them all.
 func TestPivotDoesNotAllocate(t *testing.T) {
 	var w Workspace
 	randomGame(rand.New(rand.NewSource(1)), 30, 30, 0).write(&w)
+	w.load()
+	if !indexedSweep(touchedRows(&w, 0, w.n), w.m) || indexedSweep(touchedRows(&w, w.m-1, 2), w.m) {
+		t.Fatal("want the artificial's pivot indexed and the structural column's whole-column")
+	}
 	allocs := testing.AllocsPerRun(20, func() {
+		w.load()
+		w.pivot(0, w.n)
 		w.load()
 		w.pivot(w.m-1, 2)
 	})

@@ -18,14 +18,12 @@ import (
 // pivot chains on rhs-0 rows that let tableau round-off accumulate.
 func (w *Workspace) load() {
 	m, n := w.m, w.n
-	stride := n + m + 1
 	clear(w.inb)
 	clear(w.blocked)
+	copy(w.tab, w.A[:m*n])
+	clear(w.tab[m*n:])
 	for i := 0; i < m; i++ {
-		row := w.tab[i*stride : (i+1)*stride]
-		copy(row[:n], w.A[i*n:(i+1)*n])
-		clear(row[n:])
-		row[n+i] = 1 // artificial; x₀ stays 0
+		w.tab[(n+i)*m+i] = 1 // artificial; x₀ stays 0
 		if j := w.Crash[i]; j >= 0 {
 			w.basis[i] = j
 			w.inb[j] = true
@@ -37,14 +35,11 @@ func (w *Workspace) load() {
 	copy(w.rhs, w.B)
 }
 
-// row returns tableau row i.
-func (w *Workspace) row(i int) []float64 {
-	stride := w.n + w.m + 1
-	return w.tab[i*stride : (i+1)*stride]
-}
+// col returns tableau column j.
+func (w *Workspace) col(j int) []float64 { return w.tab[j*w.m : (j+1)*w.m] }
 
 // at returns tableau entry (i, j).
-func (w *Workspace) at(i, j int) float64 { return w.tab[i*(w.n+w.m+1)+j] }
+func (w *Workspace) at(i, j int) float64 { return w.tab[j*w.m+i] }
 
 // Solve runs the two-phase simplex method on the problem written since
 // the last Reset.
@@ -167,11 +162,11 @@ func (w *Workspace) warmInstall(desired []int) int {
 			continue
 		}
 		best, row := warmInstallTol, -1
-		for i := 0; i < w.m; i++ {
+		for i, a := range w.col(j) {
 			if w.claimed[i] {
 				continue
 			}
-			if v := math.Abs(w.at(i, j)); v > best {
+			if v := math.Abs(a); v > best {
 				best, row = v, i
 			}
 		}
@@ -204,9 +199,10 @@ func (w *Workspace) auxiliaryPivot() int {
 		return 0
 	}
 	x0 := w.n + w.m
+	c := w.col(x0)
 	for i, v := range w.rhs {
 		if v < -eps {
-			w.row(i)[x0] = -1
+			c[i] = -1
 		}
 	}
 	w.pivot(row, x0)
@@ -227,19 +223,23 @@ func (w *Workspace) artificialMass() float64 {
 
 // setObjective installs phase costs c and recomputes reduced costs and z
 // from the current basis by pricing: c̄ = c − c_Bᵀ·(tableau rows), where the
-// tableau body already equals B⁻¹A.
+// tableau body already equals B⁻¹A. Each reduced cost sums its column
+// over the rows whose basic column has a nonzero cost, in row order.
 func (w *Workspace) setObjective(c []float64) {
-	copy(w.cbar, c)
 	w.z = 0
+	rows, cb := w.touched[:0], w.mult[:0]
 	for i, bj := range w.basis {
-		cb := c[bj]
-		if cb == 0 {
-			continue
+		if v := c[bj]; v != 0 {
+			w.z += v * w.rhs[i]
+			rows, cb = append(rows, i), append(cb, v)
 		}
-		w.z += cb * w.rhs[i]
-		for j, a := range w.row(i) {
-			w.cbar[j] -= cb * a
+	}
+	for j := range w.cbar {
+		col, d := w.col(j), c[j]
+		for k, i := range rows {
+			d -= cb[k] * col[i]
 		}
+		w.cbar[j] = d
 	}
 	// Basic columns have exactly zero reduced cost by construction; snap
 	// them to kill accumulated noise.
@@ -316,8 +316,8 @@ func (w *Workspace) iterate(o Options, phase1 bool) (Status, int) {
 // rows.
 func (w *Workspace) maxColumnEntry(j int) float64 {
 	best := math.Inf(-1)
-	for i := 0; i < w.m; i++ {
-		if a := w.at(i, j); a > best {
+	for _, a := range w.col(j) {
+		if a > best {
 			best = a
 		}
 	}
@@ -361,8 +361,7 @@ func (w *Workspace) chooseEntering(bland, phase1 bool) int {
 func (w *Workspace) chooseLeaving(enter int) int {
 	bestRatio := math.Inf(1)
 	w.ties = w.ties[:0]
-	for i := 0; i < w.m; i++ {
-		aie := w.at(i, enter)
+	for i, aie := range w.col(enter) {
 		if aie <= pivotTol {
 			continue
 		}
@@ -397,12 +396,11 @@ func (w *Workspace) chooseLeaving(enter int) int {
 // total and consistent, and noise-level differences still break the
 // degenerate ties that cause cycling.
 func (w *Workspace) lexLess(i, r, enter int) bool {
-	ri, rr := w.row(i), w.row(r)
-	si := 1 / ri[enter]
-	sr := 1 / rr[enter]
+	si := 1 / w.at(i, enter)
+	sr := 1 / w.at(r, enter)
 	for j := w.n; j < w.n+w.m; j++ {
-		vi := ri[j] * si
-		vr := rr[j] * sr
+		vi := w.at(i, j) * si
+		vr := w.at(r, j) * sr
 		if vi != vr {
 			return vi < vr
 		}
@@ -412,65 +410,106 @@ func (w *Workspace) lexLess(i, r, enter int) bool {
 
 // pivot makes column enter basic in row r.
 //
-// The pivot row is scaled once, and its nonzeros (column enter aside)
-// are gathered into nzCol/nzVal on the way; every other row with a
-// nonzero entry in the entering column, and the reduced-cost row, is
-// then updated at those columns only. A master's pivot row is mostly
-// zeros, so this does (touched rows) × (pivot-row nonzeros) work rather
-// than (touched rows) × (n+m). Each nonzero entry sees exactly the
-// arithmetic of a full-row update. A zero entry is left as it is,
-// where a full-row x − f·(±0) could turn a −0 into +0. No pivot choice
-// or result can see that: the pivot rules and the lexicographic test
-// compare entries by value, and the duals come from the artificials'
-// reduced costs, which start at +0 or 1 and so are never −0.
+// It scales the pivot row, gathering its nonzeros (column enter aside)
+// into nzCol/nzVal — a strided read, one entry per column — and copies
+// column enter into mult, with a 0 in row r, as the multipliers f. The
+// basic values of the rows with f_i ≠ 0 are updated in row order, and
+// then each gathered column (j, v) gets c_i −= f_i·v: by index over just
+// those rows when few rows have one (indexedSweep), and otherwise down
+// the whole column, which is faster once most rows change. Column enter
+// becomes exactly e_r.
+//
+// Every entry with f_i ≠ 0 sees exactly the arithmetic of a full-row
+// update of the tableau stored by row, in the same order. The
+// whole-column sweep also computes x − 0·v where f_i = 0, which differs
+// from x only when x = −0 (it can turn into +0). Nothing reads a zero's
+// sign: the pivot rules and the lexicographic test compare entries by
+// value, and the duals come from the artificials' reduced costs, which
+// start at +0 or 1 and so are never −0.
 func (w *Workspace) pivot(r, enter int) {
-	rowR := w.row(r)
-	inv := 1 / rowR[enter]
+	m := w.m
+	tab := w.tab[:m*(w.n+m+1)]
+	ce := tab[enter*m : (enter+1)*m]
+	inv := 1 / ce[r]
 	nz := 0
-	for j, a := range rowR {
-		if a != 0 && j != enter {
+	for j, k := 0, r; k < len(tab); j, k = j+1, k+m {
+		if a := tab[k]; a != 0 && j != enter {
 			a *= inv
-			rowR[j] = a
+			tab[k] = a
 			w.nzCol[nz], w.nzVal[nz] = j, a
 			nz++
 		}
 	}
 	cols, vals := w.nzCol[:nz], w.nzVal[:nz]
 	w.rhs[r] *= inv
-	rowR[enter] = 1 // exact
 
-	for i := 0; i < w.m; i++ {
-		if i == r {
+	f := w.mult[:m]
+	copy(f, ce)
+	f[r] = 0
+	rows := w.touched[:0]
+	br := w.rhs[r]
+	for i, fi := range f {
+		if fi == 0 {
 			continue
 		}
-		rowI := w.row(i)
-		f := rowI[enter]
-		if f == 0 {
-			continue
-		}
-		for k, j := range cols {
-			rowI[j] -= f * vals[k]
-		}
-		rowI[enter] = 0 // exact
-		w.rhs[i] -= f * w.rhs[r]
+		rows = append(rows, i)
+		w.rhs[i] -= fi * br
 		if w.rhs[i] < 0 && w.rhs[i] > -eps {
 			w.rhs[i] = 0
 		}
 	}
-
-	f := w.cbar[enter]
-	if f != 0 {
+	if indexedSweep(len(rows), m) {
 		for k, j := range cols {
-			w.cbar[j] -= f * vals[k]
+			c, v := tab[j*m:(j+1)*m], vals[k]
+			for _, i := range rows {
+				c[i] -= f[i] * v
+			}
+		}
+	} else {
+		// Four columns per pass, so each f_i loaded feeds four updates.
+		k := 0
+		for ; k+4 <= len(cols); k += 4 {
+			c0 := tab[cols[k]*m : cols[k]*m+m][:len(f)]
+			c1 := tab[cols[k+1]*m : cols[k+1]*m+m][:len(f)]
+			c2 := tab[cols[k+2]*m : cols[k+2]*m+m][:len(f)]
+			c3 := tab[cols[k+3]*m : cols[k+3]*m+m][:len(f)]
+			v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
+			for i, fi := range f {
+				c0[i] -= fi * v0
+				c1[i] -= fi * v1
+				c2[i] -= fi * v2
+				c3[i] -= fi * v3
+			}
+		}
+		for ; k < len(cols); k++ {
+			c, v := tab[cols[k]*m : cols[k]*m+m][:len(f)], vals[k]
+			for i, fi := range f {
+				c[i] -= fi * v
+			}
+		}
+	}
+	clear(ce)
+	ce[r] = 1 // exact
+
+	fc := w.cbar[enter]
+	if fc != 0 {
+		for k, j := range cols {
+			w.cbar[j] -= fc * vals[k]
 		}
 		w.cbar[enter] = 0
-		w.z += f * w.rhs[r]
+		w.z += fc * br
 	}
 
 	w.inb[w.basis[r]] = false
 	w.basis[r] = enter
 	w.inb[enter] = true
 }
+
+// indexedSweep reports whether a pivot that changes touched of its m
+// rows updates each column by index over those rows rather than down
+// the whole column. On the bank masters, thresholds from an eighth to
+// two thirds of the rows time alike (DESIGN.md M7).
+func indexedSweep(touched, m int) bool { return 4*touched < m }
 
 // purgeArtificials removes artificial variables (and x₀) that remain
 // basic at zero level after phase 1 by pivoting in any structural column

@@ -404,17 +404,21 @@ func (a *Auditor) Refit(ctx context.Context) (*RefitOutcome, error) {
 	sp.EndValue(gateVerdict)
 	if install {
 		p := PolicyFrom(&ng, a.budget, res.Mixed)
-		a.game = &ng
-		a.in = nin
-		a.seed = ng.ThresholdCaps()
-		a.built.Store(&ng)
-		// install also resets the tracker's reference to newDists under
-		// the same critical section, so a concurrent hot reload can
-		// never interleave between the policy swap and the reference
-		// reset.
+		// install swaps the game and instance and resets the tracker's
+		// reference to newDists under the same critical section as the
+		// policy, so a concurrent hot reload can never interleave
+		// between them, and a refused install swaps nothing.
 		isp := tr.StartSpan("install")
-		v := a.install(p, newDists)
+		v, err := a.install(p, newDists, func() {
+			a.game = &ng
+			a.in = nin
+			a.seed = ng.ThresholdCaps()
+			a.built.Store(&ng)
+		})
 		isp.EndValue(int64(v))
+		if err != nil {
+			return nil, err
+		}
 		out.Outcome = RefitInstalled
 		out.Installed = true
 		out.PolicyVersion = v
